@@ -34,7 +34,7 @@ use tgdkit_core::rewrite::{
     evaluate_pool_keyed, frontier_guarded_to_guarded_cached,
     frontier_guarded_to_guarded_with_stats, guarded_to_linear_cached,
     guarded_to_linear_checkpointing, guarded_to_linear_governed, guarded_to_linear_resume,
-    guarded_to_linear_with_stats, RewriteOptions, RewriteOutcome,
+    guarded_to_linear_with_stats, RewriteOptions, RewriteOutcome, RewriteStats,
 };
 use tgdkit_core::separations::{
     cross_check_with_rewriting, guarded_vs_frontier_guarded, linear_vs_guarded, verify,
@@ -297,6 +297,8 @@ fn e7_e8_rewriting() {
         "groups/chased",
         "cache h/m",
         "outcome",
+        "verify",
+        "minimize (checks)",
         "time",
     ]);
     // One entailment cache shared across every rewrite in this section, so
@@ -340,6 +342,8 @@ fn e7_e8_rewriting() {
             format!("{}/{}", stats.body_groups, stats.bodies_chased),
             format!("{}/{}", stats.cache_hits, stats.cache_misses),
             outcome_str(&outcome),
+            fmt_duration(stats.verify_time),
+            minimize_str(&stats),
             fmt_duration(time),
         ]);
     }
@@ -363,6 +367,8 @@ fn e7_e8_rewriting() {
             format!("{}/{}", stats.body_groups, stats.bodies_chased),
             format!("{}/{}", stats.cache_hits, stats.cache_misses),
             outcome_str(&outcome),
+            fmt_duration(stats.verify_time),
+            minimize_str(&stats),
             fmt_duration(time),
         ]);
     }
@@ -412,6 +418,15 @@ fn e7_e8_rewriting() {
     print!("{}", growth.render());
 }
 
+/// The minimization phase of a rewrite: wall time and entailment checks.
+fn minimize_str(stats: &RewriteStats) -> String {
+    format!(
+        "{} ({})",
+        fmt_duration(stats.minimize_time),
+        stats.minimize_checks
+    )
+}
+
 fn outcome_str(outcome: &RewriteOutcome) -> String {
     match outcome {
         RewriteOutcome::Rewritten(tgds) => format!("rewritten ({} tgds)", tgds.len()),
@@ -435,6 +450,8 @@ fn e9_reductions() {
         "entailment",
         "rewrite outcome",
         "agrees",
+        "verify",
+        "minimize (checks)",
         "time",
     ]);
     let cases = [
@@ -455,7 +472,7 @@ fn e9_reductions() {
             parallel: true,
             ..Default::default()
         };
-        let ((outcome, _), time) =
+        let ((outcome, stats), time) =
             timed(|| guarded_to_linear_with_stats(&reduction.sigma_prime, &opts));
         let rewritten = matches!(outcome, RewriteOutcome::Rewritten(_));
         table.row(&[
@@ -464,11 +481,13 @@ fn e9_reductions() {
             expected.to_string(),
             outcome_str(&outcome),
             (rewritten == expected).to_string(),
+            fmt_duration(stats.verify_time),
+            minimize_str(&stats),
             fmt_duration(time),
         ]);
         // Theorem 9.2 reduction.
         let reduction2 = fg_entailment_to_guarded_rewritability(&set, q).unwrap();
-        let ((outcome2, _), time2) =
+        let ((outcome2, stats2), time2) =
             timed(|| frontier_guarded_to_guarded_with_stats(&reduction2.sigma_prime, &opts));
         let rewritten2 = matches!(outcome2, RewriteOutcome::Rewritten(_));
         table.row(&[
@@ -477,6 +496,8 @@ fn e9_reductions() {
             expected.to_string(),
             outcome_str(&outcome2),
             (rewritten2 == expected).to_string(),
+            fmt_duration(stats2.verify_time),
+            minimize_str(&stats2),
             fmt_duration(time2),
         ]);
     }

@@ -12,7 +12,13 @@
 //!    ([`crate::enumerate`]);
 //! 2. keeps `Σ' = {σ ∈ C_{n,m} | Σ ⊨ σ}` (chase-based entailment, in
 //!    parallel across candidates);
-//! 3. answers *rewritable with `Σ'`* iff `Σ' ⊨ Σ`.
+//! 3. answers *rewritable with `Σ'`* iff `Σ' ⊨ Σ`, and minimizes `Σ'`.
+//!
+//! Step 3 runs in three passes. A forward pass keeps only the members of
+//! `Σ'` not already entailed by those kept before them, giving a kept set
+//! `K ⊆ Σ'`; every dropped member is entailed by `K`, so `K ≡ Σ'`, and
+//! `K ⊨ Σ` decides `Σ' ⊨ Σ` with a far smaller rule set. On success, a
+//! backward pass over `K` makes it irredundant.
 //!
 //! Entailment under non-weakly-acyclic sets may return `Unknown`; the
 //! procedure then reports [`RewriteOutcome::Inconclusive`] rather than
@@ -26,6 +32,7 @@ use crate::enumerate::{
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 use tgdkit_chase::faults::INJECTED_PANIC;
 use tgdkit_chase::{
     entails_all_cached_governed, entails_auto_cached_governed, evaluate_group, group_by_body,
@@ -130,6 +137,13 @@ pub struct RewriteStats {
     pub resumes: usize,
     /// Keys evicted from the bounded [`EntailCache`] during the run.
     pub evictions: usize,
+    /// Wall time of the `Σ' ⊨ Σ` check (run against the kept set `K`).
+    pub verify_time: Duration,
+    /// Wall time of minimization: the forward pass building `K` plus, on
+    /// success, the backward irredundancy pass over `K`.
+    pub minimize_time: Duration,
+    /// Entailment checks issued by the two minimization passes.
+    pub minimize_checks: usize,
 }
 
 /// Algorithm 1 (paper §9.2, `G-to-L`): rewrites a set of **guarded** tgds
@@ -266,8 +280,9 @@ pub fn frontier_guarded_to_guarded_cached_governed(
 /// ignored): group completion order must be deterministic for the done
 /// flags to mean the same thing on resume, and the serial and parallel
 /// evaluators are verdict-identical anyway. The decision tail after
-/// filtering (`Σ' ⊨ Σ`, minimization) runs without suspension points —
-/// it revisits already-cached verdicts and is cheap next to the sweep.
+/// filtering (the forward pass, `K ⊨ Σ`, the backward pass; see the module
+/// docs) runs without suspension points: it checks each member of `Σ'`
+/// against the small kept set `K` only, a fraction of the sweep's cost.
 ///
 /// Feeding the checkpoint to [`guarded_to_linear_resume`] — with the same
 /// budget after an injected trip, or a larger `max_bytes` (or a smaller
@@ -436,8 +451,8 @@ fn rewrite(
     target: Target,
     token: &CancelToken,
 ) -> (RewriteOutcome, RewriteStats) {
-    // Fresh per-run cache: within one run it still pays (minimization and
-    // the Σ' ⊨ Σ check revisit filtered candidates); callers wanting
+    // Fresh per-run cache: the decision tail asks about rule sets the
+    // sweep never did, so it rarely hits within one run; callers wanting
     // cross-run reuse pass their own via the `_cached` entry points.
     let cache = EntailCache::new();
     rewrite_cached(set, opts, target, &cache, token)
@@ -484,8 +499,9 @@ fn rewrite_cached(
 }
 
 /// The decision tail shared by the plain and checkpointing procedures:
-/// builds `Σ' = {σ | Σ ⊨ σ}` from the verdict slots, then answers
-/// *rewritable with `Σ'`* iff `Σ' ⊨ Σ` (minimizing on success).
+/// builds `Σ' = {σ | Σ ⊨ σ}` from the verdict slots, reduces it to the kept
+/// set `K ≡ Σ'` ([`forward_pass`]), then answers *rewritable* iff `K ⊨ Σ`,
+/// making `K` irredundant on success ([`backward_pass`]).
 fn conclude(
     set: &TgdSet,
     opts: &RewriteOptions,
@@ -510,16 +526,26 @@ fn conclude(
         return (RewriteOutcome::Cancelled, stats);
     }
 
-    // The paper's procedure: Σ' ≠ ∅ and Σ' ⊨ Σ.
+    // The paper's procedure: Σ' ≠ ∅ and Σ' ⊨ Σ, asked of K ≡ Σ'.
     if sigma_prime.is_empty() {
         return (negative(&stats, enumeration), stats);
     }
-    match entails_all_cached_governed(schema, &sigma_prime, set.tgds(), opts.budget, cache, token) {
+    let started = Instant::now();
+    let (kept, checks) = forward_pass(schema, sigma_prime, opts.budget, cache, token);
+    stats.minimize_time = started.elapsed();
+    stats.minimize_checks = checks;
+    let started = Instant::now();
+    let verdict = entails_all_cached_governed(schema, &kept, set.tgds(), opts.budget, cache, token);
+    stats.verify_time = started.elapsed();
+    match verdict {
         Entailment::Proved => {
-            // A cancellation inside `minimize` only stops the pruning early:
-            // the partially minimized Σ' is still a correct rewriting, so
-            // the outcome stays `Rewritten` (with `stats.cancelled` set).
-            let minimized = minimize(schema, sigma_prime, opts.budget, cache, token);
+            // A cancellation inside the backward pass only stops the
+            // pruning early: K is still a correct rewriting, so the outcome
+            // stays `Rewritten` (with `stats.cancelled` set).
+            let started = Instant::now();
+            let (minimized, checks) = backward_pass(schema, kept, opts.budget, cache, token);
+            stats.minimize_time += started.elapsed();
+            stats.minimize_checks += checks;
             stats.rewriting_size = minimized.len();
             stats.cancelled = token.is_cancelled();
             (RewriteOutcome::Rewritten(minimized), stats)
@@ -683,40 +709,72 @@ fn negative(stats: &RewriteStats, enumeration: &Enumeration) -> RewriteOutcome {
     }
 }
 
-/// Removes candidates entailed by the remaining ones (greedy, keeping the
-/// earlier, syntactically smaller candidates). Cancellation stops the
-/// pruning early; the survivors still form a correct (merely less minimal)
-/// rewriting.
-fn minimize(
+/// The forward minimization pass: simplifies every member of `tgds`
+/// (dropping tautologies and redundant head atoms), then walks them in
+/// order and keeps a member only if the members kept so far do not prove
+/// it. Returns the kept set `K` and the number of entailment checks.
+///
+/// Every dropped member is entailed by `K`, and `K` is a subset of the
+/// simplified input, so `K` is equivalent to `tgds`. Cancellation appends
+/// every member not yet examined to `K`, which keeps that equivalence.
+pub(crate) fn forward_pass(
     schema: &Schema,
     tgds: Vec<Tgd>,
     budget: ChaseBudget,
     cache: &EntailCache,
     token: &CancelToken,
-) -> Vec<Tgd> {
-    // Drop tautologies and redundant head atoms first.
-    let mut tgds: Vec<Tgd> = tgds.iter().filter_map(tgdkit_logic::simplify_tgd).collect();
-    // Try to drop from the back (larger candidates were generated later).
+) -> (Vec<Tgd>, usize) {
+    let mut kept: Vec<Tgd> = Vec::new();
+    let mut checks = 0usize;
+    let mut simplified = tgds.iter().filter_map(tgdkit_logic::simplify_tgd);
+    for candidate in simplified.by_ref() {
+        if token.is_cancelled() {
+            kept.push(candidate);
+            break;
+        }
+        checks += 1;
+        if entails_auto_cached_governed(schema, &kept, &candidate, budget, cache, token)
+            != Entailment::Proved
+        {
+            kept.push(candidate);
+        }
+    }
+    kept.extend(simplified);
+    (kept, checks)
+}
+
+/// The backward minimization pass: walks `tgds` from the back and drops
+/// every member the remaining ones prove (the earlier, syntactically
+/// smaller candidates survive). Returns the survivors and the number of
+/// entailment checks.
+///
+/// One pass leaves no member entailed by the others: a member kept once
+/// was not proved by a superset of what remains, and later removals only
+/// shrink that set. Cancellation stops the pass early; the survivors still
+/// form a correct, merely less minimal, set.
+pub(crate) fn backward_pass(
+    schema: &Schema,
+    mut tgds: Vec<Tgd>,
+    budget: ChaseBudget,
+    cache: &EntailCache,
+    token: &CancelToken,
+) -> (Vec<Tgd>, usize) {
+    let mut checks = 0usize;
     let mut i = tgds.len();
     while i > 0 {
         if token.is_cancelled() {
             break;
         }
         i -= 1;
-        let candidate = tgds[i].clone();
-        let rest: Vec<Tgd> = tgds
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, t)| t.clone())
-            .collect();
-        if entails_auto_cached_governed(schema, &rest, &candidate, budget, cache, token)
-            == Entailment::Proved
+        let candidate = tgds.remove(i);
+        checks += 1;
+        if entails_auto_cached_governed(schema, &tgds, &candidate, budget, cache, token)
+            != Entailment::Proved
         {
-            tgds.remove(i);
+            tgds.insert(i, candidate);
         }
     }
-    tgds
+    (tgds, checks)
 }
 
 /// `Entailment` packed into a byte, so parallel workers can publish
@@ -1066,7 +1124,7 @@ mod tests {
             stats.candidates
         );
         assert_eq!(stats.cache_misses, stats.candidates, "cold filtering pass");
-        // The per-run cache pays off inside the Σ' ⊨ Σ check + minimization.
+        // Each body group is chased at most once.
         assert!(stats.bodies_chased <= stats.body_groups);
     }
 
@@ -1093,6 +1151,35 @@ mod tests {
         assert!(stats.candidates > 0);
         assert!(stats.entailed > 0);
         assert!(stats.rewriting_size >= 1);
+        // The forward pass checks every simplified member of Σ' once, the
+        // backward pass every member it kept.
+        assert!(stats.minimize_checks >= 2 * stats.rewriting_size);
+    }
+
+    #[test]
+    fn cancelled_forward_pass_keeps_every_member() {
+        let mut s = Schema::default();
+        let tgds = parse_tgds(
+            &mut s,
+            "R(x,y) -> T(x). R(x,x) -> T(x). R(x,y) -> T(x), T(x).",
+        )
+        .unwrap();
+        let (budget, cache) = (ChaseBudget::default(), EntailCache::new());
+        let live = CancelToken::new();
+        let (kept, checks) = forward_pass(&s, tgds.clone(), budget, &cache, &live);
+        assert_eq!(
+            (kept.len(), checks),
+            (1, 3),
+            "both later members follow from the first"
+        );
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let (kept, checks) = forward_pass(&s, tgds, budget, &cache, &cancelled);
+        assert_eq!(
+            (kept.len(), checks),
+            (3, 0),
+            "a cut pass keeps K equivalent to its input"
+        );
     }
 
     #[test]
@@ -1114,29 +1201,5 @@ mod tests {
         };
         let outcome = guarded_to_linear(&sigma, &opts);
         assert_eq!(outcome, RewriteOutcome::Inconclusive);
-    }
-
-    #[test]
-    fn minimization_removes_redundant_members() {
-        let mut s = Schema::default();
-        // Both R(x,y) -> T(x) and R(x,x) -> T(x) are entailed; the latter
-        // is redundant.
-        let sigma = set(&mut s, "R(x,y) -> T(x).");
-        let outcome = guarded_to_linear(&sigma, &RewriteOptions::default());
-        let rewriting = outcome.rewriting().unwrap();
-        // Minimized: no member entailed by the others.
-        for (i, tgd) in rewriting.iter().enumerate() {
-            let rest: Vec<Tgd> = rewriting
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, t)| t.clone())
-                .collect();
-            assert_ne!(
-                tgdkit_chase::entails_auto(&s, &rest, tgd, ChaseBudget::default()),
-                Entailment::Proved,
-                "redundant member survived minimization: {tgd:?}"
-            );
-        }
     }
 }

@@ -21,6 +21,7 @@ use tgdkit::core::separations::{
     cross_check_with_rewriting, guarded_vs_frontier_guarded, linear_vs_guarded, verify,
 };
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
+use tgdkit::logic::PredId;
 use tgdkit::prelude::*;
 
 fn tgd_set(s: &mut Schema, text: &str) -> TgdSet {
@@ -265,68 +266,78 @@ fn theorem_9_2_algorithm_2_end_to_end() {
     }
 }
 
+/// The E9 rows of Appendix F: `Σ ⊨ ∃x Q(x)` holds for the positive
+/// instance and fails for the negative one, each with the budgets E9 runs
+/// under (two head atoms suffice for the positive rewriting; the negative
+/// answer needs the exhaustive space).
+fn appendix_f_instances() -> [(TgdSet, PredId, RewriteOptions, bool); 2] {
+    [
+        ("true -> exists u : P(u). P(x) -> Q(x).", true),
+        ("P(x) -> Q(x).", false),
+    ]
+    .map(|(text, entailed)| {
+        let mut s = Schema::default();
+        let sigma = tgd_set(&mut s, text);
+        let q = s.pred_id("Q").unwrap();
+        let opts = RewriteOptions {
+            enumeration: EnumOptions {
+                max_head_atoms: if entailed { 2 } else { 8 },
+                max_body_atoms: 8,
+                max_candidates: 500_000,
+            },
+            parallel: true,
+            ..Default::default()
+        };
+        (sigma, q, opts, entailed)
+    })
+}
+
+/// Checks one Appendix F row: the reduction's `Σ′` is rewritable into the
+/// weaker class iff `Σ ⊨ ∃x Q(x)`, and a rewriting is an equivalent set in
+/// that class.
+fn check_appendix_f_row(
+    sigma_prime: &TgdSet,
+    outcome: RewriteOutcome,
+    entailed: bool,
+    in_class: fn(&Tgd) -> bool,
+) {
+    match outcome {
+        RewriteOutcome::Rewritten(tgds) if entailed => {
+            assert!(tgds.iter().all(in_class), "rewriting leaves the class");
+            assert_eq!(
+                equivalent(
+                    sigma_prime.schema(),
+                    sigma_prime.tgds(),
+                    &tgds,
+                    ChaseBudget::default()
+                ),
+                Entailment::Proved
+            );
+        }
+        RewriteOutcome::NotRewritable if !entailed => {}
+        other => panic!("entailed = {entailed}, but the rewrite answered {other:?}"),
+    }
+}
+
 /// Appendix F, Theorem 9.1 reduction: entailment instances map to
 /// rewritability instances (positive and negative).
 #[test]
 fn appendix_f_reduction_to_linear_rewritability() {
-    let mut s = Schema::default();
-    let positive = tgd_set(&mut s, "true -> exists u : P(u). P(x) -> Q(x).");
-    let q = s.pred_id("Q").unwrap();
-    let reduction = guarded_entailment_to_linear_rewritability(&positive, q).unwrap();
-    let opts = RewriteOptions {
-        enumeration: EnumOptions {
-            max_head_atoms: 2,
-            max_body_atoms: 2,
-            max_candidates: 200_000,
-        },
-        parallel: true,
-        ..Default::default()
-    };
-    assert!(matches!(
-        guarded_to_linear(&reduction.sigma_prime, &opts),
-        RewriteOutcome::Rewritten(_)
-    ));
-
-    let mut s2 = Schema::default();
-    let negative = tgd_set(&mut s2, "P(x) -> Q(x).");
-    let q2 = s2.pred_id("Q").unwrap();
-    let reduction2 = guarded_entailment_to_linear_rewritability(&negative, q2).unwrap();
-    let exhaustive = RewriteOptions {
-        enumeration: EnumOptions {
-            max_head_atoms: 8,
-            max_body_atoms: 8,
-            max_candidates: 500_000,
-        },
-        parallel: true,
-        ..Default::default()
-    };
-    assert_eq!(
-        guarded_to_linear(&reduction2.sigma_prime, &exhaustive),
-        RewriteOutcome::NotRewritable
-    );
+    for (sigma, q, opts, entailed) in appendix_f_instances() {
+        let reduction = guarded_entailment_to_linear_rewritability(&sigma, q).unwrap();
+        let outcome = guarded_to_linear(&reduction.sigma_prime, &opts);
+        check_appendix_f_row(&reduction.sigma_prime, outcome, entailed, Tgd::is_linear);
+    }
 }
 
-/// Appendix F, Theorem 9.2 reduction, same shape.
+/// Appendix F, Theorem 9.2 reduction, same rows.
 #[test]
 fn appendix_f_reduction_to_guarded_rewritability() {
-    let mut s = Schema::default();
-    let positive = tgd_set(&mut s, "true -> exists u : P(u). P(x) -> Q(x).");
-    let q = s.pred_id("P").unwrap();
-    // Query P is also entailed (the empty-body rule generates it).
-    let reduction = fg_entailment_to_guarded_rewritability(&positive, q).unwrap();
-    let opts = RewriteOptions {
-        enumeration: EnumOptions {
-            max_head_atoms: 2,
-            max_body_atoms: 2,
-            max_candidates: 200_000,
-        },
-        parallel: true,
-        ..Default::default()
-    };
-    assert!(matches!(
-        frontier_guarded_to_guarded(&reduction.sigma_prime, &opts),
-        RewriteOutcome::Rewritten(_)
-    ));
+    for (sigma, q, opts, entailed) in appendix_f_instances() {
+        let reduction = fg_entailment_to_guarded_rewritability(&sigma, q).unwrap();
+        let outcome = frontier_guarded_to_guarded(&reduction.sigma_prime, &opts);
+        check_appendix_f_row(&reduction.sigma_prime, outcome, entailed, Tgd::is_guarded);
+    }
 }
 
 /// The Linearization Lemma's profile claim (Lemma 6.3, (1) ⇒ (2)): when a

@@ -1,8 +1,10 @@
 //! Property-based tests for the core-layer machinery: candidate
-//! enumeration, the diagram/separating-edd extraction, and the synthesis
-//! pipeline.
+//! enumeration, the diagram/separating-edd extraction, the synthesis
+//! pipeline, and the minimized sets the rewriting procedures and synthesis
+//! return.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use tgdkit::core::characterize::recover_tgds;
 use tgdkit::core::diagram::{separating_edd, DiagramOptions};
 use tgdkit::core::enumerate::{
@@ -11,6 +13,63 @@ use tgdkit::core::enumerate::{
 use tgdkit::core::workload::{generate_set, schema_for, Family, WorkloadParams};
 use tgdkit::prelude::*;
 use tgdkit_chase::{entails_edd_under_tgds, satisfies_edd};
+
+/// E12's workload shape: two guarded rules over two binary predicates.
+fn e12_params() -> WorkloadParams {
+    WorkloadParams {
+        predicates: 2,
+        max_arity: 2,
+        rules: 2,
+        body_atoms: 2,
+        head_atoms: 1,
+        universals: 2,
+        existentials: 0,
+    }
+}
+
+/// The first member of `tgds` that the other members prove, if any. An
+/// uncached check of every member, independent of the minimization passes
+/// it audits.
+fn redundant_member(schema: &Schema, tgds: &[Tgd]) -> Option<Tgd> {
+    (0..tgds.len()).find_map(|i| {
+        let mut rest = tgds.to_vec();
+        let member = rest.remove(i);
+        (entails_auto(schema, &rest, &member, ChaseBudget::default()) == Entailment::Proved)
+            .then_some(member)
+    })
+}
+
+/// Checks a minimized set `tgds` returned for `input`: every member lies in
+/// the target class, the set is chase-proved equivalent to `input`, and no
+/// member is proved by the others.
+fn check_minimized(
+    input: &TgdSet,
+    tgds: &[Tgd],
+    in_class: impl Fn(&Tgd) -> bool,
+) -> Result<(), TestCaseError> {
+    let schema = input.schema();
+    prop_assert!(tgds.iter().all(in_class), "member outside the target class");
+    prop_assert_eq!(
+        equivalent(schema, input.tgds(), tgds, ChaseBudget::default()),
+        Entailment::Proved,
+        "not equivalent to {:?}",
+        input.tgds()
+    );
+    prop_assert_eq!(redundant_member(schema, tgds), None, "redundant member");
+    Ok(())
+}
+
+/// Minimization keeps `R(x,y) -> T(x)` and drops the entailed, redundant
+/// `R(x,x) -> T(x)`.
+#[test]
+fn minimization_removes_redundant_members() {
+    let mut s = Schema::default();
+    let tgds = parse_tgds(&mut s, "R(x,y) -> T(x).").unwrap();
+    let sigma = TgdSet::new(s.clone(), tgds).unwrap();
+    let outcome = guarded_to_linear(&sigma, &RewriteOptions::default());
+    let rewriting = outcome.rewriting().expect("a linear set is rewritable");
+    assert_eq!(redundant_member(&s, rewriting), None);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -98,5 +157,47 @@ proptest! {
             "synthesis failed for {:?}",
             hidden.tgds()
         );
+    }
+
+    /// Algorithms 1 and 2 on E12-shaped guarded sets: every rewriting is
+    /// in the target class, equivalent to its input and irredundant, and
+    /// every answer is the same serially, in parallel and on a second run.
+    #[test]
+    fn rewritings_are_minimal_equivalent_and_stable(seed in 0u64..1_000_000) {
+        let set = generate_set(&e12_params(), Family::Guarded, seed);
+        prop_assume!(!set.is_empty() && set.is_guarded());
+        let serial = RewriteOptions::default();
+        let parallel = RewriteOptions { parallel: true, ..Default::default() };
+        let linear = guarded_to_linear(&set, &serial);
+        prop_assert_eq!(guarded_to_linear(&set, &parallel), linear);
+        prop_assert_eq!(guarded_to_linear(&set, &serial), linear);
+        if let RewriteOutcome::Rewritten(tgds) = &linear {
+            check_minimized(&set, tgds, Tgd::is_linear)?;
+        }
+        let guarded = frontier_guarded_to_guarded(&set, &serial);
+        prop_assert_eq!(frontier_guarded_to_guarded(&set, &parallel), guarded);
+        prop_assert_eq!(frontier_guarded_to_guarded(&set, &serial), guarded);
+        // A guarded input is its own guarded rewriting.
+        let tgds = guarded.rewriting().expect("guarded sets are guarded-rewritable");
+        check_minimized(&set, tgds, Tgd::is_guarded)?;
+    }
+
+    /// Synthesis from E12-shaped guarded sets returns an irredundant
+    /// `TGD_{n,m}` set equivalent to the hidden one, the same on every run.
+    #[test]
+    fn recovered_sets_are_minimal_equivalent_and_stable(seed in 0u64..1_000_000) {
+        let hidden = generate_set(&e12_params(), Family::Guarded, seed);
+        prop_assume!(!hidden.is_empty());
+        let (n, m) = hidden.profile();
+        let opts = EnumOptions {
+            max_body_atoms: 2,
+            max_head_atoms: 1,
+            max_candidates: 200_000,
+        };
+        let tgds = recover_tgds(&hidden, &opts, ChaseBudget::default()).tgds;
+        prop_assert_eq!(recover_tgds(&hidden, &opts, ChaseBudget::default()).tgds, tgds);
+        check_minimized(&hidden, &tgds, |t| {
+            t.universal_count() <= n && t.existential_count() <= m
+        })?;
     }
 }
