@@ -12,9 +12,8 @@
 
 use tgdkit_bench::{fmt_count, fmt_duration, timed, Table};
 use tgdkit_chase::{
-    chase, chase_configured, chase_sharded, entails, entails_auto, is_weakly_acyclic,
-    satisfies_tgds, shard_stats, shards_from_env, CancelToken, ChaseBudget, ChaseResult,
-    ChaseVariant, EntailCache, Entailment, TriggerSearch,
+    chase, chase_sharded, entails, entails_auto, is_weakly_acyclic, satisfies_tgds, shard_stats,
+    shards_from_env, CancelToken, ChaseBudget, ChaseResult, ChaseVariant, EntailCache, Entailment,
 };
 use tgdkit_core::characterize::recover_tgds;
 use tgdkit_core::enumerate::{
@@ -554,8 +553,7 @@ fn e10_synthesis() {
 /// The shard-scaling workload: transitive closure over a pseudo-random
 /// graph with `degree` out-edges per node. Dense enough that the closure
 /// dwarfs the seed (the regime the sharded engine targets), deterministic
-/// so every run — legacy or sharded, any shard count — chases the same
-/// instance.
+/// so every run, at any shard count, chases the same instance.
 fn tc_workload(nodes: u32, degree: u64) -> (Vec<Tgd>, tgdkit_instance::Instance) {
     let mut schema = Schema::default();
     let tgds = parse_tgds(&mut schema, "E(x,y), E(y,z) -> E(x,z).").expect("TC parses");
@@ -585,21 +583,18 @@ fn tc_budget() -> ChaseBudget {
     }
 }
 
-/// Asserts the sharded run reproduced the legacy run bit-for-bit: same
+/// Asserts the sharded run reproduced the one-shard run bit-for-bit: same
 /// instance, outcome, round count, nulls, and trigger tally.
-fn assert_shard_identical(legacy: &ChaseResult, sharded: &ChaseResult, shards: usize) {
+fn assert_shard_identical(one: &ChaseResult, sharded: &ChaseResult, shards: usize) {
     assert_eq!(
-        sharded.instance, legacy.instance,
-        "sharded chase ({shards} shards) diverged from unsharded"
+        sharded.instance, one.instance,
+        "sharded chase ({shards} shards) diverged from one shard"
     );
+    assert_eq!(sharded.outcome, one.outcome, "outcome at {shards} shards");
+    assert_eq!(sharded.rounds, one.rounds, "rounds at {shards} shards");
+    assert_eq!(sharded.nulls, one.nulls, "nulls at {shards} shards");
     assert_eq!(
-        sharded.outcome, legacy.outcome,
-        "outcome at {shards} shards"
-    );
-    assert_eq!(sharded.rounds, legacy.rounds, "rounds at {shards} shards");
-    assert_eq!(sharded.nulls, legacy.nulls, "nulls at {shards} shards");
-    assert_eq!(
-        sharded.stats.triggers_found, legacy.stats.triggers_found,
+        sharded.stats.triggers_found, one.stats.triggers_found,
         "trigger tally at {shards} shards"
     );
 }
@@ -691,23 +686,13 @@ fn e11_chase_scaling() {
     print!("{}", micro.render());
     let _ = Entailment::Proved;
 
-    // Shard-scaling block: the hash-partitioned engine against the legacy
-    // serial engine on a closure-dominated workload. Output is asserted
-    // byte-identical at every shard count, so the only thing that moves
-    // is wall time.
+    // Shard-scaling block: the chase at 1, 2 and 4 shards on a
+    // closure-dominated workload. Output is asserted byte-identical to the
+    // one-shard run (what `chase` runs), so the only thing that moves is
+    // wall time.
     println!("\nsharded chase scaling (transitive closure, output asserted identical):");
     let (tc_tgds, tc_inst) = tc_workload(160, 3);
-    let (legacy, legacy_time) = timed(|| {
-        chase_configured(
-            &tc_inst,
-            &tc_tgds,
-            ChaseVariant::Restricted,
-            tc_budget(),
-            TriggerSearch::Serial,
-        )
-    });
     let mut shard_table = Table::new(&[
-        "engine",
         "shards",
         "chase facts",
         "exchanged",
@@ -715,16 +700,9 @@ fn e11_chase_scaling() {
         "time",
         "speedup",
     ]);
-    shard_table.row(&[
-        "legacy".into(),
-        "-".into(),
-        fmt_count(legacy.instance.fact_count() as f64),
-        "-".into(),
-        "-".into(),
-        fmt_duration(legacy_time),
-        "1.00x".into(),
-    ]);
+    let mut baseline: Option<(ChaseResult, std::time::Duration)> = None;
     for shards in [1usize, 2, 4] {
+        tgdkit_chase::reset_shard_stats();
         let (result, time) = timed(|| {
             chase_sharded(
                 &tc_inst,
@@ -734,10 +712,10 @@ fn e11_chase_scaling() {
                 shards,
             )
         });
-        assert_shard_identical(&legacy, &result, shards);
         let stats = shard_stats();
+        let (one, one_time) = baseline.get_or_insert_with(|| (result.clone(), time));
+        assert_shard_identical(one, &result, shards);
         shard_table.row(&[
-            "sharded".into(),
             shards.to_string(),
             fmt_count(result.instance.fact_count() as f64),
             fmt_count(stats.exchanged_tuples as f64),
@@ -745,7 +723,7 @@ fn e11_chase_scaling() {
             fmt_duration(time),
             format!(
                 "{:.2}x",
-                legacy_time.as_secs_f64() / time.as_secs_f64().max(1e-9)
+                one_time.as_secs_f64() / time.as_secs_f64().max(1e-9)
             ),
         ]);
     }
@@ -1338,55 +1316,26 @@ fn bench_rewrite_json(smoke: bool) {
         fmt_duration(repl_failover_time),
     );
 
-    // Shard probe: the hash-partitioned chase against the legacy engine on
-    // a closure-dominated workload, asserted byte-identical. The shard
-    // count honors TGDKIT_SHARDS (the CI matrix sets 1/2/4); an unset or
-    // =1 environment still probes at 4 shards so the recorded speedup
-    // always measures the sharded engine at scale against the baseline.
+    // Shard probe: the hash-partitioned chase against `chase` (one shard)
+    // on a closure-dominated workload, asserted byte-identical. The shard
+    // count honors TGDKIT_SHARDS (the CI matrix sets 1/2/4); an unset or =1
+    // environment still probes at 4 shards so the exchange path always
+    // runs. Shard telemetry is reset right before the sharded run, so the
+    // recorded counters cover exactly that run.
     let env_shards = shards_from_env();
     let probe_shards = if env_shards > 1 { env_shards } else { 4 };
     let (tc_tgds, tc_inst) = tc_workload(if smoke { 140 } else { 200 }, 3);
-    // Each engine is timed as the fastest of three *interleaved* reps
-    // (legacy, sharded, legacy, sharded, ...) — the same min-of-reps
-    // discipline the candidates_per_sec floor uses, interleaved so both
-    // engines sample the same allocator/cache conditions and the ratio
-    // gates the engines, not scheduler noise. Shard telemetry is reset
-    // per sharded rep, so the recorded counters cover exactly one run —
-    // they are deterministic, so every rep reports the same figures.
-    let mut shard_legacy_time = std::time::Duration::MAX;
-    let mut shard_legacy = None;
-    let mut shard_time = std::time::Duration::MAX;
-    let mut shard_result = None;
-    for _ in 0..3 {
-        let (result, time) = timed(|| {
-            chase_configured(
-                &tc_inst,
-                &tc_tgds,
-                ChaseVariant::Restricted,
-                tc_budget(),
-                TriggerSearch::Serial,
-            )
-        });
-        shard_legacy_time = shard_legacy_time.min(time);
-        shard_legacy = Some(result);
-        tgdkit_chase::reset_shard_stats();
-        let (result, time) = timed(|| {
-            chase_sharded(
-                &tc_inst,
-                &tc_tgds,
-                ChaseVariant::Restricted,
-                tc_budget(),
-                probe_shards,
-            )
-        });
-        shard_time = shard_time.min(time);
-        shard_result = Some(result);
-    }
-    let shard_legacy = shard_legacy.expect("legacy probe ran");
-    let shard_result = shard_result.expect("sharded probe ran");
-    assert_shard_identical(&shard_legacy, &shard_result, probe_shards);
+    let shard_one = chase(&tc_inst, &tc_tgds, ChaseVariant::Restricted, tc_budget());
+    tgdkit_chase::reset_shard_stats();
+    let shard_result = chase_sharded(
+        &tc_inst,
+        &tc_tgds,
+        ChaseVariant::Restricted,
+        tc_budget(),
+        probe_shards,
+    );
     let shard_probe = shard_stats();
-    let shard_speedup = shard_legacy_time.as_secs_f64() / shard_time.as_secs_f64().max(1e-9);
+    assert_shard_identical(&shard_one, &shard_result, probe_shards);
 
     let rate = |n: usize, t: std::time::Duration| n as f64 / t.as_secs_f64().max(1e-9);
     let hit_rate = |hits: usize, misses: usize| {
@@ -1417,7 +1366,7 @@ fn bench_rewrite_json(smoke: bool) {
          \"plan_cache_hits\": {}\n  }},\n  \"shards\": {{\n    \
          \"shard_count\": {},\n    \"exchanged_tuples\": {},\n    \
          \"broadcasts\": {},\n    \"rekeyed_probes\": {},\n    \
-         \"skew_max_over_min\": {:.4},\n    \"speedup\": {:.2}\n  }},\n  \
+         \"skew_max_over_min\": {:.4}\n  }},\n  \
          \"memory\": {{\n    \
          \"peak_bytes\": {},\n    \"trips\": {},\n    \"resumes\": {},\n    \
          \"evictions\": {}\n  }},\n  \"serve\": {{\n    \
@@ -1469,7 +1418,6 @@ fn bench_rewrite_json(smoke: bool) {
         shard_probe.broadcasts,
         shard_probe.rekeyed_probes,
         shard_probe.skew_max_over_min,
-        shard_speedup,
         mem_stats.mem_peak_bytes.max(mem_clean_stats.mem_peak_bytes),
         mem_stats.mem_trips,
         mem_resumes,
@@ -1550,10 +1498,9 @@ fn bench_rewrite_json(smoke: bool) {
         serve_report.small_p99_us(),
     );
     println!(
-        "shard probe ({} shards over {} facts): {:.2}x vs legacy; {} tuples exchanged, {} broadcasts, {} rekeyed probes, skew {:.3}; output byte-identical",
+        "shard probe ({} shards over {} facts): {} tuples exchanged, {} broadcasts, {} rekeyed probes, skew {:.3}; output byte-identical",
         shard_probe.shard_count,
         shard_result.instance.fact_count(),
-        shard_speedup,
         shard_probe.exchanged_tuples,
         shard_probe.broadcasts,
         shard_probe.rekeyed_probes,

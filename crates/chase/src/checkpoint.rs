@@ -355,6 +355,13 @@ fn read_duration(r: &mut CheckpointReader<'_>) -> Result<Duration, CheckpointErr
 }
 
 /// Writes a [`ChaseStats`] block (fixed layout, 13 counters + 3 timings).
+///
+/// The seventh counter slot held `parallel_rounds`, a counter of the
+/// removed multi-threaded trigger search. The slot stays, always written
+/// as 0 and discarded by [`read_chase_stats`], because this layout is part
+/// of the TGCK payload whose frame `VERSION` the durable store's segment
+/// and WAL frames share: dropping the slot would need a version bump that
+/// strands every existing store.
 pub fn write_chase_stats(w: &mut CheckpointWriter, s: &ChaseStats) {
     for v in [
         s.rounds,
@@ -363,7 +370,7 @@ pub fn write_chase_stats(w: &mut CheckpointWriter, s: &ChaseStats) {
         s.facts_added,
         s.index_extends,
         s.index_rebuilds,
-        s.parallel_rounds,
+        0,
         s.cache_hits,
         s.cache_misses,
         s.panics_contained,
@@ -380,14 +387,21 @@ pub fn write_chase_stats(w: &mut CheckpointWriter, s: &ChaseStats) {
 
 /// Reads a [`ChaseStats`] block written by [`write_chase_stats`].
 pub fn read_chase_stats(r: &mut CheckpointReader<'_>) -> Result<ChaseStats, CheckpointError> {
+    let rounds = r.u64()? as usize;
+    let triggers_found = r.u64()? as usize;
+    let triggers_fired = r.u64()? as usize;
+    let facts_added = r.u64()? as usize;
+    let index_extends = r.u64()? as usize;
+    let index_rebuilds = r.u64()? as usize;
+    // The retired seventh slot (see `write_chase_stats`).
+    r.u64()?;
     Ok(ChaseStats {
-        rounds: r.u64()? as usize,
-        triggers_found: r.u64()? as usize,
-        triggers_fired: r.u64()? as usize,
-        facts_added: r.u64()? as usize,
-        index_extends: r.u64()? as usize,
-        index_rebuilds: r.u64()? as usize,
-        parallel_rounds: r.u64()? as usize,
+        rounds,
+        triggers_found,
+        triggers_fired,
+        facts_added,
+        index_extends,
+        index_rebuilds,
         cache_hits: r.u64()? as usize,
         cache_misses: r.u64()? as usize,
         panics_contained: r.u64()? as usize,
@@ -570,9 +584,9 @@ pub struct ChaseCheckpoint {
     pub(crate) variant: ChaseVariant,
     pub(crate) rounds: usize,
     pub(crate) next_null: u32,
-    /// Shard count of the captured run (1 = the unsharded engine). Resume
-    /// re-partitions the decoded instance with the same count, so the
-    /// frame pins the engine, not the partition contents.
+    /// Shard count of the captured run. Resume re-partitions the decoded
+    /// instance with the same count, so the frame pins the shard count,
+    /// not the partition contents.
     pub(crate) shards: u32,
     pub(crate) sigma_fp: u64,
     pub(crate) nulls: BTreeSet<Elem>,

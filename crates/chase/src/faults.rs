@@ -31,9 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Panic inside a per-tgd trigger-search worker (serial or scoped
-    /// thread). Contained by `catch_unwind`; the chase discards the round's
-    /// partial trigger set and reports `Cancelled`.
+    /// Panic inside a per-tgd trigger search. Contained by
+    /// `catch_unwind`; the chase discards the round's partial trigger set
+    /// and reports `Cancelled`.
     TriggerWorkerPanic = 0,
     /// Panic inside a per-group candidate evaluation (serial or
     /// work-stealing worker). Contained; the group's members stay

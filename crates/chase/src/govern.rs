@@ -4,8 +4,8 @@
 //! but gives no wall-clock guarantee: a single round over a large instance
 //! can run arbitrarily long. A [`CancelToken`] adds the missing governor —
 //! a shared cancellation flag plus an optional [`Instant`] deadline —
-//! threaded alongside the budget into every chase round loop, the parallel
-//! trigger-search workers, the work-stealing candidate evaluator, the
+//! threaded alongside the budget into every chase round loop, the
+//! per-tgd trigger searches, the work-stealing candidate evaluator, the
 //! entailment-cache batch paths, and the countermodel/locality searches.
 //!
 //! Checks are *cooperative* and placed at round and group-claim
@@ -83,7 +83,7 @@ impl Default for TokenState {
 /// caller can keep one clone and hand another to a long-running call:
 ///
 /// ```
-/// use tgdkit_chase::{chase_governed, CancelToken, ChaseBudget, ChaseVariant, TriggerSearch};
+/// use tgdkit_chase::{chase_governed, CancelToken, ChaseBudget, ChaseVariant};
 /// use tgdkit_instance::parse_instance;
 /// use tgdkit_logic::{parse_tgds, Schema};
 /// let mut schema = Schema::default();
@@ -96,7 +96,6 @@ impl Default for TokenState {
 ///     &tgds,
 ///     ChaseVariant::Restricted,
 ///     ChaseBudget::default(),
-///     TriggerSearch::Auto,
 ///     &token,
 /// );
 /// assert!(result.cancelled());

@@ -1,9 +1,11 @@
-//! Sharded semi-naive trigger search over a hash-partitioned instance.
+//! The chase's trigger search, over a store of one or more hash-partitioned
+//! shards.
 //!
-//! The sharded engine replaces one global search over the whole delta with
-//! per-shard searches over each shard's slice of the delta, stitched back
-//! together by a deterministic **exchange** phase
-//! ([`tgdkit_hom::exchange`]):
+//! At one shard (what [`crate::chase`] runs) a round is one indexed search
+//! per tgd: the full body on the first round, semi-naive over the previous
+//! round's delta afterwards. With several shards the search runs per shard
+//! over each shard's slice of the delta, stitched back together by a
+//! deterministic **exchange** phase ([`tgdkit_hom::exchange`]):
 //!
 //! - `Local` / `Broadcast` anchors run [`for_each_hom_anchored`] against
 //!   the union index (the delta — always the smaller side — is what a
@@ -16,29 +18,30 @@
 //! `(tgd, universal-image)` entries — and one global
 //! `sort_unstable` + dedup produces exactly the sequence a
 //! `BTreeSet<(usize, Vec<Elem>)>` would iterate. That is the merge
-//! discipline that makes the sharded chase **bit-for-bit equal** to the
-//! unsharded chase at any shard count: the firing phase consumes the same
-//! triggers in the same order, so it adds the same facts and numbers nulls
-//! identically. It is also where the engine's speed comes from: a visit
-//! appends a few words to two flat vectors instead of allocating a
-//! `Vec<Elem>` and rebalancing a B-tree, and the dedup cost is paid once
-//! per round in one cache-friendly sort.
+//! discipline that makes the chase **bit-for-bit equal** at any shard
+//! count: the firing phase consumes the same triggers in the same order,
+//! so it adds the same facts and numbers nulls identically. It is also
+//! where the search's speed comes from: a visit appends a few words to two
+//! flat vectors instead of allocating a `Vec<Elem>` and rebalancing a
+//! B-tree, and the dedup cost is paid once per round in one cache-friendly
+//! sort.
 
-use crate::chase::CANCEL_CHECK_STRIDE;
 use crate::faults::{FaultSite, INJECTED_PANIC};
 use crate::govern::CancelToken;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tgdkit_hom::{
-    classify_exchange, for_each_hom_anchored, Binding, ExchangeChoice, InstanceIndex,
+    classify_exchange, for_each_hom_anchored, for_each_hom_indexed, for_each_hom_seminaive,
+    Binding, ExchangeChoice, InstanceIndex,
 };
 use tgdkit_instance::{shard_of, Elem, Fact, ShardedInstance};
 use tgdkit_logic::Tgd;
 
 /// `TGDKIT_SHARDS` parsed fresh on each call (tests and the bench harness
 /// flip it between runs): a positive shard count, default 1. A value of 1
-/// selects the legacy unsharded engine.
+/// keeps the whole instance in one shard, which is what [`crate::chase`]
+/// runs.
 pub fn shards_from_env() -> usize {
     std::env::var("TGDKIT_SHARDS")
         .ok()
@@ -57,10 +60,10 @@ static LAST_SHARD_COUNT: AtomicU64 = AtomicU64::new(0);
 static LAST_SKEW_BITS: AtomicU64 = AtomicU64::new(0);
 
 /// Cross-shard exchange counters since process start (or the last
-/// [`reset_shard_stats`]), plus the shape of the most recent sharded run.
+/// [`reset_shard_stats`]), plus the shape of the most recent chase run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardStats {
-    /// Shard count of the most recent sharded chase (0 = none ran).
+    /// Shard count of the most recent chase (0 = none ran).
     pub shard_count: u64,
     /// Tuples a distributed run would have shipped: for every round with at
     /// least one broadcast plan, the round's delta size times the number of
@@ -71,8 +74,8 @@ pub struct ShardStats {
     pub broadcasts: u64,
     /// Owner-routed point probes issued by `ReKey` plans.
     pub rekeyed_probes: u64,
-    /// Final fact-count skew of the most recent sharded chase: largest
-    /// shard over smallest (1.0 = perfectly balanced, 0.0 = none ran).
+    /// Final fact-count skew of the most recent chase: largest shard over
+    /// smallest (1.0 = perfectly balanced, 0.0 = none ran).
     pub skew_max_over_min: f64,
 }
 
@@ -96,7 +99,7 @@ pub fn reset_shard_stats() {
     LAST_SKEW_BITS.store(0, Ordering::Relaxed);
 }
 
-/// Records the final shape of a sharded run (called once per run).
+/// Records the final shape of a chase run (called once per run).
 pub(crate) fn record_run_shape(store: &ShardedInstance) {
     LAST_SHARD_COUNT.store(store.shard_count() as u64, Ordering::Relaxed);
     LAST_SKEW_BITS.store(store.skew_max_over_min().to_bits(), Ordering::Relaxed);
@@ -209,72 +212,116 @@ impl<'a> Iterator for TriggerRunIter<'a> {
     }
 }
 
-/// One sharded round's trigger search result; mirrors the unsharded
-/// `TriggerScan` contract (on `aborted` or a contained panic the caller
-/// discards the round without firing).
-pub(crate) struct ShardedScan {
+/// How many visited trigger bindings pass between cooperative cancellation
+/// checks inside one tgd's enumeration. Small enough that a dense body
+/// search notices an expired deadline within a fraction of a millisecond;
+/// large enough that the atomic load is invisible in the profile.
+const CANCEL_CHECK_STRIDE: u32 = 64;
+
+/// Counts visited bindings and polls the token every
+/// [`CANCEL_CHECK_STRIDE`] of them.
+#[derive(Default)]
+struct CancelPoll(u32);
+
+impl CancelPoll {
+    /// Counts one visit; `true` when this visit's poll saw cancellation.
+    fn cancelled(&mut self, token: &CancelToken) -> bool {
+        self.0 += 1;
+        if self.0 < CANCEL_CHECK_STRIDE {
+            return false;
+        }
+        self.0 = 0;
+        token.is_cancelled()
+    }
+}
+
+/// One round's trigger search result. On `aborted` (cancellation observed
+/// mid-search, or a contained panic) the caller discards the round without
+/// firing, keeping the instance at the last completed round.
+pub(crate) struct RoundScan {
     pub(crate) triggers: TriggerRun,
     pub(crate) aborted: bool,
     pub(crate) panics_contained: usize,
 }
 
-/// One round's trigger set over the sharded store: every tgd's body matched
-/// per shard per anchor under its exchange plan, merged and deduplicated
-/// into the canonical firing order.
+/// What a multi-shard round needs beyond the union index: each shard's
+/// slice of the frontier and one exchange plan per `(tgd, anchor)`.
+struct ExchangeRound {
+    per_shard: Vec<Vec<Fact>>,
+    choices: Vec<Vec<ExchangeChoice>>,
+}
+
+impl ExchangeRound {
+    fn plan(
+        tgds: &[Tgd],
+        index: &InstanceIndex,
+        store: &ShardedInstance,
+        delta: Option<&[Fact]>,
+    ) -> ExchangeRound {
+        let shards = store.shard_count();
+        // On the first round the frontier is the whole instance (already
+        // partitioned — each shard contributes its own facts); afterwards
+        // the previous round's delta is routed by the same hash that
+        // placed the facts.
+        let per_shard: Vec<Vec<Fact>> = match delta {
+            Some(facts) => {
+                let mut parts: Vec<Vec<Fact>> = vec![Vec::new(); shards];
+                for fact in facts {
+                    parts[shard_of(fact.pred, &fact.args, shards)].push(fact.clone());
+                }
+                parts
+            }
+            None => (0..shards)
+                .map(|s| store.shard(s).facts().collect())
+                .collect(),
+        };
+        // Computed from the body shape and the union index's statistics —
+        // identical on every shard, so no coordination would be needed to
+        // agree on it.
+        let choices: Vec<Vec<ExchangeChoice>> = tgds
+            .iter()
+            .map(|t| {
+                (0..t.body().len())
+                    .map(|a| classify_exchange(t.body(), a, &[], index))
+                    .collect()
+            })
+            .collect();
+        if choices
+            .iter()
+            .flatten()
+            .any(|&c| c == ExchangeChoice::Broadcast)
+        {
+            // A distributed round with any broadcast plan ships each
+            // shard's delta to every peer once; re-key probes are accounted
+            // per probe.
+            let delta_total: usize = per_shard.iter().map(Vec::len).sum();
+            EXCHANGED_TUPLES.fetch_add((delta_total * (shards - 1)) as u64, Ordering::Relaxed);
+        }
+        ExchangeRound { per_shard, choices }
+    }
+}
+
+/// One round's trigger set: every tgd's body matched against the instance,
+/// merged and deduplicated into the canonical firing order.
 ///
 /// `index` must cover exactly the current logical instance (the union of
-/// the shards) — the same invariant the unsharded engine maintains — so
-/// broadcast joins and `ReKey` store probes see identical content, and the
-/// found trigger set equals the unsharded search's trigger set exactly.
-pub(crate) fn find_triggers_sharded(
+/// the shards). At one shard that index is the whole search: no delta copy,
+/// no exchange plan. With several shards each tgd is matched per shard per
+/// anchor under its exchange plan, which finds exactly the same trigger
+/// set.
+///
+/// Each tgd's search runs under `catch_unwind` with the
+/// [`FaultSite::TriggerWorkerPanic`] injection point; a panic ends the
+/// search and is reported in [`RoundScan::panics_contained`].
+pub(crate) fn find_round_triggers(
     tgds: &[Tgd],
     index: &InstanceIndex,
     store: &ShardedInstance,
     delta: Option<&[Fact]>,
     token: &CancelToken,
-) -> ShardedScan {
-    let shards = store.shard_count();
-    let first_round = delta.is_none();
-    // Each shard's slice of the frontier. On the first round the frontier
-    // is the whole instance (already partitioned — each shard contributes
-    // its own facts); afterwards the previous round's delta is routed by
-    // the same hash that placed the facts.
-    let per_shard: Vec<Vec<Fact>> = match delta {
-        Some(facts) => {
-            let mut parts: Vec<Vec<Fact>> = vec![Vec::new(); shards];
-            for fact in facts {
-                parts[shard_of(fact.pred, &fact.args, shards)].push(fact.clone());
-            }
-            parts
-        }
-        None => (0..shards)
-            .map(|s| store.shard(s).facts().collect())
-            .collect(),
-    };
-
-    // One exchange plan per (tgd, anchor) per round, computed from the
-    // body shape and the union index's statistics — identical on every
-    // shard, so no coordination would be needed to agree on it.
-    let choices: Vec<Vec<ExchangeChoice>> = tgds
-        .iter()
-        .map(|t| {
-            (0..t.body().len())
-                .map(|a| classify_exchange(t.body(), a, &[], index))
-                .collect()
-        })
-        .collect();
-    if shards > 1
-        && choices
-            .iter()
-            .flatten()
-            .any(|&c| c == ExchangeChoice::Broadcast)
-    {
-        // A distributed round with any broadcast plan ships each shard's
-        // delta to every peer once; re-key probes are accounted per probe.
-        let delta_total: usize = per_shard.iter().map(Vec::len).sum();
-        EXCHANGED_TUPLES.fetch_add((delta_total * (shards - 1)) as u64, Ordering::Relaxed);
-    }
-
+) -> RoundScan {
+    let exchange =
+        (store.shard_count() > 1).then(|| ExchangeRound::plan(tgds, index, store, delta));
     let mut run = TriggerRun::new(tgds);
     let mut tally = ExchangeTally::default();
     let mut aborted = false;
@@ -288,18 +335,21 @@ pub(crate) fn find_triggers_sharded(
             if token.fault(FaultSite::TriggerWorkerPanic) {
                 panic!("{INJECTED_PANIC}: trigger worker for tgd {ti}");
             }
-            sharded_triggers_into(
-                ti,
-                tgd,
-                &choices[ti],
-                index,
-                store,
-                &per_shard,
-                first_round,
-                &mut run,
-                &mut tally,
-                token,
-            )
+            match &exchange {
+                None => local_triggers_into(ti, tgd, index, delta, &mut run, token),
+                Some(round) => sharded_triggers_into(
+                    ti,
+                    tgd,
+                    &round.choices[ti],
+                    index,
+                    store,
+                    &round.per_shard,
+                    delta.is_none(),
+                    &mut run,
+                    &mut tally,
+                    token,
+                ),
+            }
         }));
         match outcome {
             Ok(true) => {}
@@ -315,14 +365,54 @@ pub(crate) fn find_triggers_sharded(
         }
     }
     tally.publish();
-    if !aborted && panics_contained == 0 {
+    if !aborted {
         run.sort_dedup();
     }
-    ShardedScan {
+    RoundScan {
         triggers: run,
         aborted,
         panics_contained,
     }
+}
+
+/// Collects one tgd's triggers against `index` into `run`: a full body
+/// search on the first round (`delta` = `None`), semi-naive afterwards (a
+/// new trigger must use at least one fact added in the previous round;
+/// older triggers were found — and either fired or found satisfied, both
+/// monotone — in an earlier round). Returns `false` when cancellation cut
+/// the enumeration short (the run then holds a partial set; the caller
+/// discards the round).
+fn local_triggers_into(
+    ti: usize,
+    tgd: &Tgd,
+    index: &InstanceIndex,
+    delta: Option<&[Fact]>,
+    run: &mut TriggerRun,
+    token: &CancelToken,
+) -> bool {
+    let fixed: Binding = vec![None; tgd.var_count()];
+    let mut poll = CancelPoll::default();
+    let mut cancelled = false;
+    let mut visit = |binding: &Binding| {
+        if poll.cancelled(token) {
+            cancelled = true;
+            return ControlFlow::Break(());
+        }
+        run.push_binding(ti, binding);
+        ControlFlow::Continue(())
+    };
+    match delta {
+        None => for_each_hom_indexed(tgd.body(), tgd.var_count(), index, &fixed, &mut visit),
+        Some(delta) => for_each_hom_seminaive(
+            tgd.body(),
+            tgd.var_count(),
+            index,
+            delta,
+            &fixed,
+            &mut visit,
+        ),
+    }
+    !cancelled
 }
 
 /// Collects one tgd's triggers across all shards and anchors into `run`.
@@ -345,14 +435,14 @@ fn sharded_triggers_into(
     if body.is_empty() {
         // A zero-body tgd has exactly one (empty) trigger, found by the
         // first round's full search; semi-naive rounds anchor on delta
-        // facts and so never revisit it — matching the unsharded engine.
+        // facts and so never revisit it — matching the one-shard search.
         if first_round {
             run.push_empty(ti);
         }
         return true;
     }
     let fixed: Binding = vec![None; tgd.var_count()];
-    let mut since_check = 0u32;
+    let mut poll = CancelPoll::default();
     for (anchor, &choice) in choices.iter().enumerate() {
         let atom = &body[anchor];
         for shard_delta in per_shard {
@@ -371,12 +461,8 @@ fn sharded_triggers_into(
                     if fact.pred != atom.pred || fact.args.len() != atom.args.len() {
                         continue;
                     }
-                    since_check += 1;
-                    if since_check >= CANCEL_CHECK_STRIDE {
-                        since_check = 0;
-                        if token.is_cancelled() {
-                            return false;
-                        }
+                    if poll.cancelled(token) {
+                        return false;
                     }
                     undo.clear();
                     let mut ok = true;
@@ -425,13 +511,9 @@ fn sharded_triggers_into(
                 }
                 let mut cancelled = false;
                 let mut visit = |binding: &Binding| {
-                    since_check += 1;
-                    if since_check >= CANCEL_CHECK_STRIDE {
-                        since_check = 0;
-                        if token.is_cancelled() {
-                            cancelled = true;
-                            return ControlFlow::Break(());
-                        }
+                    if poll.cancelled(token) {
+                        cancelled = true;
+                        return ControlFlow::Break(());
                     }
                     run.push_binding(ti, binding);
                     ControlFlow::Continue(())

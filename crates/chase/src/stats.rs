@@ -3,9 +3,9 @@
 //! Every chase entry point ([`crate::chase`], [`crate::chase_with_provenance`],
 //! [`crate::core_chase`], [`crate::chase_with_egds`]) populates a
 //! [`ChaseStats`] on its [`crate::ChaseResult`], so regressions in the hot
-//! loop — extra index rebuilds, runaway trigger counts, a serial trigger
-//! phase where a parallel one was expected — are observable from tests and
-//! benches instead of only from wall time.
+//! loop — extra index rebuilds, runaway trigger counts, a trigger search
+//! that outgrows its apply phase — are observable from tests and benches
+//! instead of only from wall time.
 
 use std::time::Duration;
 
@@ -31,8 +31,6 @@ pub struct ChaseStats {
     /// Full [`tgdkit_hom::InstanceIndex::new`] builds (one per chase pass;
     /// more would mean the incremental path regressed).
     pub index_rebuilds: usize,
-    /// Rounds whose trigger search ran on multiple worker threads.
-    pub parallel_rounds: usize,
     /// Chase/entailment results served from a memoization layer instead of
     /// being recomputed (witness-chase memo in the locality checkers,
     /// [`crate::EntailCache`] in batch entailment).
@@ -73,7 +71,6 @@ impl ChaseStats {
         self.facts_added += other.facts_added;
         self.index_extends += other.index_extends;
         self.index_rebuilds += other.index_rebuilds;
-        self.parallel_rounds += other.parallel_rounds;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.panics_contained += other.panics_contained;
@@ -105,22 +102,6 @@ impl ChaseStats {
     }
 }
 
-/// How the chase searches for triggers each round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TriggerSearch {
-    /// Parallelize across tgds when the round's estimated probe work is
-    /// large enough to amortize thread spawn (the default).
-    #[default]
-    Auto,
-    /// Always single-threaded.
-    Serial,
-    /// Always parallel with up to the given number of workers (clamped to
-    /// the tgd count; `0` means use all available cores). The trigger *set*
-    /// is merged deterministically, so results are identical to
-    /// [`TriggerSearch::Serial`].
-    Parallel(usize),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +115,6 @@ mod tests {
             facts_added: 6,
             index_extends: 3,
             index_rebuilds: 1,
-            parallel_rounds: 1,
             cache_hits: 5,
             cache_misses: 3,
             panics_contained: 1,
@@ -153,7 +133,6 @@ mod tests {
         assert_eq!(a.facts_added, 12);
         assert_eq!(a.index_extends, 6);
         assert_eq!(a.index_rebuilds, 2);
-        assert_eq!(a.parallel_rounds, 2);
         assert_eq!(a.cache_hits, 10);
         assert_eq!(a.cache_misses, 6);
         assert_eq!(a.panics_contained, 2);

@@ -20,7 +20,7 @@
 //!   newly derived facts, versus the accumulated instance) is broadcast:
 //!   anchored search runs against the union index covering every shard,
 //!   and the per-step algorithm choice inside that search falls to the
-//!   selectivity planner ([`crate::plan`]) exactly as in the unsharded
+//!   selectivity planner ([`crate::plan`]) exactly as in the one-shard
 //!   chase.
 //!
 //! The choice is made once per `(body, anchor)` per run and is driven by

@@ -78,6 +78,26 @@ impl ShardedInstance {
         sharded
     }
 
+    /// [`ShardedInstance::partition`] of an owned instance. A single shard
+    /// takes `instance` over as is, without re-inserting a fact.
+    pub fn from_instance(instance: Instance, shard_count: usize) -> ShardedInstance {
+        if shard_count == 1 {
+            return ShardedInstance {
+                shards: vec![instance],
+            };
+        }
+        ShardedInstance::partition(&instance, shard_count)
+    }
+
+    /// [`ShardedInstance::merge`] that consumes the store. A single shard
+    /// is handed back as is, without re-inserting a fact.
+    pub fn into_instance(mut self) -> Instance {
+        if self.shards.len() == 1 {
+            return self.shards.pop().expect("one shard");
+        }
+        self.merge()
+    }
+
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
@@ -238,6 +258,12 @@ mod tests {
                 "merge must equal the original at {n} shards"
             );
             assert_eq!(merged.dom(), gen_inst.dom());
+            let owned = ShardedInstance::from_instance(gen_inst.clone(), n);
+            assert_eq!(
+                owned.per_shard_fact_counts(),
+                sharded.per_shard_fact_counts()
+            );
+            assert_eq!(owned.into_instance(), gen_inst);
         }
     }
 

@@ -11,14 +11,17 @@
 use proptest::prelude::*;
 use tgdkit::chase_crate::faults::{env_seed, silence_injected_panics, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
-    chase, chase_governed, entails_auto, entails_auto_governed, CancelToken, ChaseBudget,
-    ChaseOutcome, ChaseVariant, Entailment, TriggerSearch,
+    chase_governed, entails_auto, entails_auto_governed, CancelToken, ChaseBudget, ChaseOutcome,
+    ChaseVariant, Entailment,
 };
 use tgdkit::core::rewrite::{guarded_to_linear_governed, guarded_to_linear_with_stats};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::core::RewriteOutcome;
 use tgdkit::instance::Instance;
 use tgdkit::logic::{Tgd, TgdSet};
+
+mod reference_chase;
+use reference_chase::reference_chase;
 
 fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
     let params = WorkloadParams {
@@ -80,7 +83,7 @@ proptest! {
 
     /// A chase cancelled by injected deadline expiries stops exactly on one
     /// of the uncancelled run's round prefixes (reconstructed via
-    /// `max_rounds = j` reruns).
+    /// `max_rounds = j` runs of the reference chase).
     #[test]
     fn cancelled_chase_lands_on_a_round_prefix(
         set_seed in 0u64..200,
@@ -94,10 +97,10 @@ proptest! {
             max_rounds: 12,
             max_bytes: usize::MAX,
         };
-        let full = chase(&start, set.tgds(), ChaseVariant::Restricted, budget);
-        let prefixes: Vec<Instance> = (0..=full.stats.rounds)
+        let full = reference_chase(&start, set.tgds(), ChaseVariant::Restricted, budget);
+        let prefixes: Vec<Instance> = (0..=full.rounds)
             .map(|j| {
-                chase(
+                reference_chase(
                     &start,
                     set.tgds(),
                     ChaseVariant::Restricted,
@@ -118,7 +121,6 @@ proptest! {
             set.tgds(),
             ChaseVariant::Restricted,
             budget,
-            TriggerSearch::Auto,
             &token,
         );
         if result.outcome == ChaseOutcome::Cancelled {
@@ -217,7 +219,6 @@ fn injected_trigger_worker_panics_cancel_the_chase() {
         set.tgds(),
         ChaseVariant::Restricted,
         ChaseBudget::default(),
-        TriggerSearch::Auto,
         &token,
     );
     assert_eq!(result.outcome, ChaseOutcome::Cancelled);

@@ -1,9 +1,10 @@
 //! Sharded-chase property tests: for any tgd set, any start instance, and
-//! any shard count 1–8, the hash-partitioned engine is *indistinguishable*
-//! from the unsharded engine — byte-identical instances, identical
-//! outcomes/rounds/nulls, identical normalized statistics — and the
-//! shard-aware checkpoint frames round-trip trip → encode → decode →
-//! resume back onto the uninterrupted run.
+//! any shard count 1–8, the chase equals the naive reference chase
+//! (`tests/reference_chase.rs`) — byte-identical instances, identical
+//! outcomes/rounds/nulls/fired triggers — and has the normalized
+//! statistics of the one-shard run; the shard-aware checkpoint frames
+//! round-trip trip → encode → decode → resume back onto the uninterrupted
+//! run.
 //!
 //! CI runs this file under the same `TGDKIT_FAULTS_SEED` matrix as
 //! `proptest_faults`, so the injected-trip test covers a different fault
@@ -13,6 +14,9 @@ use proptest::prelude::*;
 use tgdkit::chase_crate::faults::{env_seed, FaultPlan, FaultSite};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::prelude::*;
+
+mod reference_chase;
+use reference_chase::reference_chase;
 
 fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
     let params = WorkloadParams {
@@ -27,10 +31,10 @@ fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
     generate_set(&params, Family::Guarded, seed)
 }
 
-/// Unlimited byte budget: the sharded engine's resident-heap figure sums
-/// per-shard dedup maps and so differs from the unsharded layout; byte
-/// budgets are therefore pinned open and `mem_peak_bytes` is zeroed out of
-/// the stats comparison below.
+/// Unlimited byte budget: the resident-heap figure sums per-shard dedup
+/// maps and so differs between shard counts (and the reference chase does
+/// not model it); byte budgets are therefore pinned open and
+/// `mem_peak_bytes` is zeroed out of the stats comparison below.
 const BUDGET: ChaseBudget = ChaseBudget {
     max_facts: 4_000,
     max_rounds: 16,
@@ -48,8 +52,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The tentpole equivalence: at every shard count 1–8, the sharded
-    /// chase reproduces the unsharded (legacy serial) chase bit-for-bit —
-    /// same instance, outcome, rounds, nulls, and normalized stats.
+    /// chase reproduces the reference chase bit-for-bit — same instance,
+    /// outcome, rounds, nulls, and fired triggers — and the one-shard
+    /// chase's normalized stats.
     #[test]
     fn sharded_chase_equals_unsharded(
         set_seed in 0u64..300,
@@ -60,18 +65,18 @@ proptest! {
     ) {
         let set = random_set(set_seed, rules, existentials);
         let start = InstanceGen::new(set.schema().clone(), data_seed).generate(4, 0.35);
-        let legacy = chase_configured(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, TriggerSearch::Serial,
-        );
+        let reference = reference_chase(&start, set.tgds(), ChaseVariant::Restricted, BUDGET);
+        let one = chase(&start, set.tgds(), ChaseVariant::Restricted, BUDGET);
         let sharded = chase_sharded(&start, set.tgds(), ChaseVariant::Restricted, BUDGET, shards);
-        prop_assert_eq!(sharded.outcome, legacy.outcome);
-        prop_assert_eq!(sharded.rounds, legacy.rounds);
-        prop_assert_eq!(&sharded.nulls, &legacy.nulls);
+        prop_assert_eq!(sharded.outcome, reference.outcome);
+        prop_assert_eq!(sharded.rounds, reference.rounds);
+        prop_assert_eq!(&sharded.nulls, &reference.nulls);
         prop_assert_eq!(
-            &sharded.instance, &legacy.instance,
+            &sharded.instance, &reference.instance,
             "sharded chase at {} shards diverged", shards
         );
-        prop_assert_eq!(comparable(&sharded.stats), comparable(&legacy.stats));
+        prop_assert_eq!(sharded.stats.triggers_fired, reference.triggers_fired);
+        prop_assert_eq!(comparable(&sharded.stats), comparable(&one.stats));
     }
 
     /// The oblivious variant holds to the same equivalence (its
@@ -85,19 +90,21 @@ proptest! {
     ) {
         let set = random_set(set_seed, 2, 0);
         let start = InstanceGen::new(set.schema().clone(), data_seed).generate(3, 0.35);
-        let legacy = chase_configured(
-            &start, set.tgds(), ChaseVariant::Oblivious, BUDGET, TriggerSearch::Serial,
-        );
+        let reference = reference_chase(&start, set.tgds(), ChaseVariant::Oblivious, BUDGET);
+        let one = chase(&start, set.tgds(), ChaseVariant::Oblivious, BUDGET);
         let sharded = chase_sharded(&start, set.tgds(), ChaseVariant::Oblivious, BUDGET, shards);
-        prop_assert_eq!(sharded.outcome, legacy.outcome);
-        prop_assert_eq!(&sharded.instance, &legacy.instance);
-        prop_assert_eq!(comparable(&sharded.stats), comparable(&legacy.stats));
+        prop_assert_eq!(sharded.outcome, reference.outcome);
+        prop_assert_eq!(sharded.rounds, reference.rounds);
+        prop_assert_eq!(&sharded.nulls, &reference.nulls);
+        prop_assert_eq!(&sharded.instance, &reference.instance);
+        prop_assert_eq!(sharded.stats.triggers_fired, reference.triggers_fired);
+        prop_assert_eq!(comparable(&sharded.stats), comparable(&one.stats));
     }
 
     /// Shard-aware checkpointing: trip the round budget at ANY round,
     /// round-trip the frame through encode/decode (the frame carries the
     /// shard count), resume — and land exactly on the uninterrupted
-    /// sharded run, which itself equals the unsharded run.
+    /// sharded run, which itself equals the reference chase.
     #[test]
     fn sharded_trip_resume_is_invisible(
         set_seed in 0u64..300,
@@ -116,6 +123,9 @@ proptest! {
         // that complete.
         prop_assume!(full.outcome == ChaseOutcome::Terminated);
         prop_assume!(full.stats.rounds > 0);
+        let reference = reference_chase(&start, set.tgds(), ChaseVariant::Restricted, BUDGET);
+        prop_assert_eq!(&full.instance, &reference.instance);
+        prop_assert_eq!(&full.nulls, &reference.nulls);
         let j = trip % full.stats.rounds;
         let (tripped, cp) = chase_sharded_checkpointing(
             &start,
@@ -134,7 +144,7 @@ proptest! {
         let decoded = ChaseCheckpoint::decode(&cp.encode(), set.schema()).unwrap();
         prop_assert_eq!(&decoded, cp.as_ref());
         let (resumed, after) = chase_resume(
-            &decoded, set.tgds(), BUDGET, TriggerSearch::Serial, &token,
+            &decoded, set.tgds(), BUDGET, &token,
         ).unwrap();
         prop_assert!(after.is_none(), "resume under the full budget completes");
         prop_assert_eq!(resumed.outcome, full.outcome);
@@ -170,7 +180,7 @@ proptest! {
         }
         let cp = cp.expect("memory trip must be resumable");
         let (resumed, _) = chase_resume(
-            &cp, set.tgds(), BUDGET, TriggerSearch::Serial, &clean,
+            &cp, set.tgds(), BUDGET, &clean,
         ).unwrap();
         prop_assert_eq!(resumed.outcome, full.outcome);
         prop_assert_eq!(&resumed.instance, &full.instance);
