@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 use tgdkit_chase::{
-    entails_auto, entails_linear, refute_by_countermodel, ChaseBudget, SearchBudget,
+    entails_auto, entails_linear, refute_by_countermodel, ChaseBudget, Run, SearchBudget,
 };
 use tgdkit_logic::{parse_tgd, parse_tgds, Schema, Tgd};
 
@@ -18,6 +18,7 @@ fn fixture(sigma_text: &str, candidate_text: &str) -> (Schema, Vec<Tgd>, Tgd) {
 }
 
 fn bench_linear_rewriting(c: &mut Criterion) {
+    let run = Run::default();
     let mut group = c.benchmark_group("decision/linear_rewriting");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -42,13 +43,14 @@ fn bench_linear_rewriting(c: &mut Criterion) {
     for (label, sigma_text, candidate_text) in cases {
         let (schema, sigma, candidate) = fixture(sigma_text, candidate_text);
         group.bench_function(label, |b| {
-            b.iter(|| black_box(entails_linear(&schema, &sigma, &candidate, 100_000)))
+            b.iter(|| black_box(entails_linear(&run, &schema, &sigma, &candidate, 100_000)))
         });
     }
     group.finish();
 }
 
 fn bench_countermodel(c: &mut Criterion) {
+    let run = Run::default();
     let mut group = c.benchmark_group("decision/countermodel");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -59,6 +61,7 @@ fn bench_countermodel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(extra), &extra, |b, &extra| {
             b.iter(|| {
                 black_box(refute_by_countermodel(
+                    &run,
                     &schema,
                     &sigma,
                     &candidate,
@@ -74,6 +77,7 @@ fn bench_countermodel(c: &mut Criterion) {
 }
 
 fn bench_auto_dispatch(c: &mut Criterion) {
+    let run = Run::default();
     let mut group = c.benchmark_group("decision/entails_auto");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -100,6 +104,7 @@ fn bench_auto_dispatch(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 black_box(entails_auto(
+                    &run,
                     &schema,
                     &sigma,
                     &candidate,

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
+use tgdkit_chase::Run;
 use tgdkit_core::locality::{locally_embeddable, LocalityFlavor, LocalityOptions};
 use tgdkit_instance::{parse_instance, InstanceGen};
 use tgdkit_logic::{parse_tgds, Schema, TgdSet};
@@ -15,6 +16,7 @@ fn sigma() -> TgdSet {
 }
 
 fn bench_flavors(c: &mut Criterion) {
+    let run = Run::default();
     let mut group = c.benchmark_group("locality/flavors");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -30,6 +32,7 @@ fn bench_flavors(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 black_box(locally_embeddable(
+                    &run,
                     &set,
                     &instance,
                     2,
@@ -44,6 +47,7 @@ fn bench_flavors(c: &mut Criterion) {
 }
 
 fn bench_instance_size(c: &mut Criterion) {
+    let run = Run::default();
     let mut group = c.benchmark_group("locality/instance_size");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -54,6 +58,7 @@ fn bench_instance_size(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(size), &instance, |b, inst| {
             b.iter(|| {
                 black_box(locally_embeddable(
+                    &run,
                     &set,
                     inst,
                     2,
@@ -68,6 +73,7 @@ fn bench_instance_size(c: &mut Criterion) {
 }
 
 fn bench_nm_growth(c: &mut Criterion) {
+    let run = Run::default();
     let mut group = c.benchmark_group("locality/nm");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -83,6 +89,7 @@ fn bench_nm_growth(c: &mut Criterion) {
             |b, &(n, m)| {
                 b.iter(|| {
                     black_box(locally_embeddable(
+                        &run,
                         &set,
                         &instance,
                         n,
@@ -98,6 +105,7 @@ fn bench_nm_growth(c: &mut Criterion) {
 }
 
 fn bench_separation_witnesses(c: &mut Criterion) {
+    let run = Run::default();
     let mut group = c.benchmark_group("locality/separations");
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -110,6 +118,7 @@ fn bench_separation_witnesses(c: &mut Criterion) {
     group.bench_function("linear_1_0_gadget", |b| {
         b.iter(|| {
             black_box(locally_embeddable(
+                &run,
                 &g,
                 &witness,
                 1,

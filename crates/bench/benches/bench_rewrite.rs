@@ -7,13 +7,26 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tgdkit_chase::EntailCache;
+use tgdkit_chase::{EntailCache, Run};
 use tgdkit_core::enumerate::{guarded_candidates, linear_candidates, EnumOptions};
-use tgdkit_core::rewrite::{
-    frontier_guarded_to_guarded, guarded_to_linear, guarded_to_linear_cached, RewriteOptions,
-};
+use tgdkit_core::rewrite::{rewrite, RewriteOptions, RewriteRun, RewriteTarget};
 use tgdkit_core::workload::{schema_for, WorkloadParams};
 use tgdkit_logic::{parse_tgds, Schema, TgdSet};
+
+/// Algorithm 1 (`Linear`) or 2 (`Guarded`) on `set`, sharing `cache` when
+/// one is given.
+fn decide(
+    set: &TgdSet,
+    target: RewriteTarget,
+    opts: &RewriteOptions,
+    cache: Option<&EntailCache>,
+) -> RewriteRun {
+    let run = Run {
+        cache,
+        ..Run::default()
+    };
+    rewrite(&run, set, target, opts, None).expect("a fresh run has no checkpoint to mismatch")
+}
 
 fn bench_candidate_enumeration(c: &mut Criterion) {
     let mut group = c.benchmark_group("rewrite/enumeration");
@@ -65,7 +78,7 @@ fn bench_algorithm_1(c: &mut Criterion) {
     for (label, text) in cases {
         let set = set_from(text);
         group.bench_with_input(BenchmarkId::from_parameter(label), &set, |b, set| {
-            b.iter(|| black_box(guarded_to_linear(set, &opts)))
+            b.iter(|| black_box(decide(set, RewriteTarget::Linear, &opts, None)))
         });
     }
     group.finish();
@@ -91,7 +104,7 @@ fn bench_algorithm_2(c: &mut Criterion) {
     for (label, text) in cases {
         let set = set_from(text);
         group.bench_with_input(BenchmarkId::from_parameter(label), &set, |b, set| {
-            b.iter(|| black_box(frontier_guarded_to_guarded(set, &opts)))
+            b.iter(|| black_box(decide(set, RewriteTarget::Guarded, &opts, None)))
         });
     }
     group.finish();
@@ -111,7 +124,7 @@ fn bench_parallel_speedup(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(if parallel { "parallel" } else { "sequential" }),
             &set,
-            |b, set| b.iter(|| black_box(frontier_guarded_to_guarded(set, &opts))),
+            |b, set| b.iter(|| black_box(decide(set, RewriteTarget::Guarded, &opts, None))),
         );
     }
     group.finish();
@@ -131,14 +144,21 @@ fn bench_entail_cache(c: &mut Criterion) {
     group.bench_function("cold", |b| {
         b.iter(|| {
             let cache = EntailCache::new();
-            black_box(guarded_to_linear_cached(&set, &opts, &cache))
+            black_box(decide(&set, RewriteTarget::Linear, &opts, Some(&cache)))
         })
     });
     // Warm: the shared cache answers every candidate after the first run.
     let warm_cache = EntailCache::new();
-    let _ = guarded_to_linear_cached(&set, &opts, &warm_cache);
+    let _ = decide(&set, RewriteTarget::Linear, &opts, Some(&warm_cache));
     group.bench_function("warm", |b| {
-        b.iter(|| black_box(guarded_to_linear_cached(&set, &opts, &warm_cache)))
+        b.iter(|| {
+            black_box(decide(
+                &set,
+                RewriteTarget::Linear,
+                &opts,
+                Some(&warm_cache),
+            ))
+        })
     });
     group.finish();
 }

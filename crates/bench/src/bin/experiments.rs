@@ -12,8 +12,9 @@
 
 use tgdkit_bench::{fmt_count, fmt_duration, timed, Table};
 use tgdkit_chase::{
-    chase, chase_sharded, entails, entails_auto, is_weakly_acyclic, satisfies_tgds, shard_stats,
-    shards_from_env, CancelToken, ChaseBudget, ChaseResult, ChaseVariant, EntailCache, Entailment,
+    chase, chase_from, entails, entails_auto, is_weakly_acyclic, satisfies_tgds, shard_stats,
+    shards_from_env, CancelToken, ChaseBudget, ChaseResult, ChaseStart, ChaseVariant, EntailCache,
+    Entailment, Run,
 };
 use tgdkit_core::characterize::recover_tgds;
 use tgdkit_core::enumerate::{
@@ -30,10 +31,7 @@ use tgdkit_core::reductions::{
     fg_entailment_to_guarded_rewritability, guarded_entailment_to_linear_rewritability,
 };
 use tgdkit_core::rewrite::{
-    evaluate_pool_keyed, frontier_guarded_to_guarded_cached,
-    frontier_guarded_to_guarded_with_stats, guarded_to_linear_cached,
-    guarded_to_linear_checkpointing, guarded_to_linear_governed, guarded_to_linear_resume,
-    guarded_to_linear_with_stats, RewriteOptions, RewriteOutcome, RewriteStats,
+    evaluate_pool_keyed, rewrite, RewriteOptions, RewriteOutcome, RewriteStats, RewriteTarget,
 };
 use tgdkit_core::separations::{
     cross_check_with_rewriting, guarded_vs_frontier_guarded, linear_vs_guarded, verify,
@@ -303,6 +301,10 @@ fn e7_e8_rewriting() {
     // One entailment cache shared across every rewrite in this section, so
     // candidates recurring between inputs (up to renaming) are decided once.
     let cache = EntailCache::new();
+    let cached = Run {
+        cache: Some(&cache),
+        ..Run::default()
+    };
     let opts = RewriteOptions {
         parallel: true,
         ..Default::default()
@@ -329,7 +331,8 @@ fn e7_e8_rewriting() {
     for (text, run_opts) in linear_inputs {
         let (name, set) = named_set(text);
         let (n, m) = set.profile();
-        let ((outcome, stats), time) = timed(|| guarded_to_linear_cached(&set, run_opts, &cache));
+        let ((outcome, stats), time) =
+            timed(|| decide(&cached, &set, RewriteTarget::Linear, run_opts));
         table.row(&[
             "G-to-L".into(),
             name,
@@ -354,7 +357,7 @@ fn e7_e8_rewriting() {
         let (name, set) = named_set(text);
         let (n, m) = set.profile();
         let ((outcome, stats), time) =
-            timed(|| frontier_guarded_to_guarded_cached(&set, run_opts, &cache));
+            timed(|| decide(&cached, &set, RewriteTarget::Guarded, run_opts));
         table.row(&[
             "FG-to-G".into(),
             name,
@@ -418,6 +421,18 @@ fn e7_e8_rewriting() {
 }
 
 /// The minimization phase of a rewrite: wall time and entailment checks.
+/// Algorithm 1 or 2 (`target`), started fresh under `run`.
+fn decide(
+    run: &Run,
+    set: &TgdSet,
+    target: RewriteTarget,
+    opts: &RewriteOptions,
+) -> (RewriteOutcome, RewriteStats) {
+    let (outcome, stats, _) =
+        rewrite(run, set, target, opts, None).expect("a fresh run has no checkpoint to mismatch");
+    (outcome, stats)
+}
+
 fn minimize_str(stats: &RewriteStats) -> String {
     format!(
         "{} ({})",
@@ -471,8 +486,10 @@ fn e9_reductions() {
             parallel: true,
             ..Default::default()
         };
-        let ((outcome, stats), time) =
-            timed(|| guarded_to_linear_with_stats(&reduction.sigma_prime, &opts));
+        let ((outcome, stats), time) = timed(|| {
+            let set = &reduction.sigma_prime;
+            decide(&Run::default(), set, RewriteTarget::Linear, &opts)
+        });
         let rewritten = matches!(outcome, RewriteOutcome::Rewritten(_));
         table.row(&[
             "Thm 9.1 (G,L)".into(),
@@ -486,8 +503,10 @@ fn e9_reductions() {
         ]);
         // Theorem 9.2 reduction.
         let reduction2 = fg_entailment_to_guarded_rewritability(&set, q).unwrap();
-        let ((outcome2, stats2), time2) =
-            timed(|| frontier_guarded_to_guarded_with_stats(&reduction2.sigma_prime, &opts));
+        let ((outcome2, stats2), time2) = timed(|| {
+            let set = &reduction2.sigma_prime;
+            decide(&Run::default(), set, RewriteTarget::Guarded, &opts)
+        });
         let rewritten2 = matches!(outcome2, RewriteOutcome::Rewritten(_));
         table.row(&[
             "Thm 9.2 (FG,G)".into(),
@@ -585,6 +604,23 @@ fn tc_budget() -> ChaseBudget {
 
 /// Asserts the sharded run reproduced the one-shard run bit-for-bit: same
 /// instance, outcome, round count, nulls, and trigger tally.
+/// The restricted chase of `start` at `shards` shards.
+fn chase_with_shards(
+    start: &tgdkit_instance::Instance,
+    tgds: &[Tgd],
+    variant: ChaseVariant,
+    budget: ChaseBudget,
+    shards: usize,
+) -> ChaseResult {
+    let run = Run {
+        shards,
+        ..Run::default()
+    };
+    chase_from(&run, ChaseStart::Fresh(start), tgds, variant, budget)
+        .expect("a fresh start has no checkpoint to mismatch")
+        .0
+}
+
 fn assert_shard_identical(one: &ChaseResult, sharded: &ChaseResult, shards: usize) {
     assert_eq!(
         sharded.instance, one.instance,
@@ -704,7 +740,7 @@ fn e11_chase_scaling() {
     for shards in [1usize, 2, 4] {
         tgdkit_chase::reset_shard_stats();
         let (result, time) = timed(|| {
-            chase_sharded(
+            chase_with_shards(
                 &tc_inst,
                 &tc_tgds,
                 ChaseVariant::Restricted,
@@ -766,7 +802,8 @@ fn e12_rewriting_at_scale() {
         if !set.is_guarded() || set.is_empty() {
             continue;
         }
-        let ((outcome, _stats), time) = timed(|| guarded_to_linear_with_stats(&set, &opts));
+        let ((outcome, _stats), time) =
+            timed(|| decide(&Run::default(), &set, RewriteTarget::Linear, &opts));
         let witness = union_closure_witness(&set, 4, seed).is_some();
         let verified = match &outcome {
             RewriteOutcome::Rewritten(linear) => format!(
@@ -819,8 +856,14 @@ fn e13_separating_edds() {
         match edd {
             Some(edd) => {
                 let violated = !satisfies_edd(&i, &edd);
-                let entailed =
-                    entails_edd_under_tgds(set.schema(), set.tgds(), &edd, ChaseBudget::default());
+                let entailed = entails_edd_under_tgds(
+                    &Run::default(),
+                    set.schema(),
+                    set.tgds(),
+                    &edd,
+                    ChaseBudget::default(),
+                )
+                .0;
                 table.row(&[
                     sigma_text.into(),
                     witness_text.into(),
@@ -873,13 +916,15 @@ fn e14_exhaustive_bounded() {
                 let _ = for_each_instance(set.schema(), k, &mut |i| {
                     checked += 1;
                     let embeddable = locally_embeddable(
+                        &Run::default(),
                         &set,
                         i,
                         n,
                         m,
                         LocalityFlavor::Plain,
                         &LocalityOptions::default(),
-                    );
+                    )
+                    .0;
                     let member = satisfies_tgds(i, set.tgds());
                     if embeddable == tgdkit_core::Verdict::Yes && !member {
                         violations += 1; // Lemma 3.6
@@ -922,7 +967,7 @@ fn baseline_evaluate(
     if workers <= 1 {
         return candidates
             .iter()
-            .map(|c| entails_auto(schema, sigma, c, budget))
+            .map(|c| entails_auto(&Run::default(), schema, sigma, c, budget).0)
             .collect();
     }
     let chunk = candidates.len().div_ceil(workers);
@@ -933,7 +978,7 @@ fn baseline_evaluate(
             .map(|part| {
                 scope.spawn(move || {
                     part.iter()
-                        .map(|c| entails_auto(schema, sigma, c, budget))
+                        .map(|c| entails_auto(&Run::default(), schema, sigma, c, budget).0)
                         .collect::<Vec<_>>()
                 })
             })
@@ -1025,9 +1070,13 @@ fn bench_rewrite_json(smoke: bool) {
         ..Default::default()
     };
     let rewrite_cache = EntailCache::new();
+    let rewrite_run = Run {
+        cache: Some(&rewrite_cache),
+        ..Run::default()
+    };
     let ((outcome, _), rewrite_cold) =
-        timed(|| guarded_to_linear_cached(&gadget, &opts, &rewrite_cache));
-    let (_, rewrite_warm) = timed(|| guarded_to_linear_cached(&gadget, &opts, &rewrite_cache));
+        timed(|| decide(&rewrite_run, &gadget, RewriteTarget::Linear, &opts));
+    let (_, rewrite_warm) = timed(|| decide(&rewrite_run, &gadget, RewriteTarget::Linear, &opts));
 
     // Robustness probe: the same Algorithm-1 run over the branching-chain
     // workload under a deliberately tight wall-clock deadline. It must come
@@ -1047,9 +1096,12 @@ fn bench_rewrite_json(smoke: bool) {
         },
         ..Default::default()
     };
-    let token = CancelToken::with_deadline(std::time::Duration::from_millis(deadline_ms));
+    let deadline = Run {
+        token: CancelToken::with_deadline(std::time::Duration::from_millis(deadline_ms)),
+        ..Run::default()
+    };
     let ((deadline_outcome, deadline_stats), deadline_time) =
-        timed(|| guarded_to_linear_governed(&probe_set, &deadline_opts, &token));
+        timed(|| decide(&deadline, &probe_set, RewriteTarget::Linear, &deadline_opts));
     // Cooperative cancellation is checked inside trigger enumeration and the
     // trigger-apply loop (with mid-round rollback to the last complete
     // round), a cancelled evaluation skips grouping and result indexing, so
@@ -1094,14 +1146,21 @@ fn bench_rewrite_json(smoke: bool) {
         },
         ..Default::default()
     };
-    let clean_token = CancelToken::new();
     let probe_cache_bytes = 12 * 1024;
     // Untripped reference run; its observed resident peak (chase arena +
     // plateaued cache) calibrates the tight budget so the trip lands at a
     // group boundary, never inside a member chase.
     let mem_cache = EntailCache::with_capacity(1 << 20, probe_cache_bytes);
+    let mem_run = Run {
+        cache: Some(&mem_cache),
+        checkpoint: true,
+        ..Run::default()
+    };
+    let mem_linear = |run: &Run, opts: &RewriteOptions, resume: Option<&RewriteCheckpoint>| {
+        rewrite(run, &mem_set, RewriteTarget::Linear, opts, resume)
+    };
     let (mem_clean, mem_clean_stats, no_cp) =
-        guarded_to_linear_checkpointing(&mem_set, &mem_opts, &mem_cache, &clean_token);
+        mem_linear(&mem_run, &mem_opts, None).expect("a fresh run has no checkpoint to mismatch");
     assert!(no_cp.is_none(), "unlimited byte budget must not suspend");
     let tight_bytes = mem_clean_stats
         .mem_peak_bytes
@@ -1115,8 +1174,12 @@ fn bench_rewrite_json(smoke: bool) {
         ..mem_opts
     };
     let tight_cache = EntailCache::with_capacity(1 << 20, probe_cache_bytes);
-    let (mut mem_outcome, mut mem_stats, mut mem_cp) =
-        guarded_to_linear_checkpointing(&mem_set, &tight_opts, &tight_cache, &clean_token);
+    let tight_run = Run {
+        cache: Some(&tight_cache),
+        ..mem_run.clone()
+    };
+    let (mut mem_outcome, mut mem_stats, mut mem_cp) = mem_linear(&tight_run, &tight_opts, None)
+        .expect("a fresh run has no checkpoint to mismatch");
     assert_eq!(
         mem_outcome,
         RewriteOutcome::Suspended,
@@ -1124,13 +1187,13 @@ fn bench_rewrite_json(smoke: bool) {
     );
     let mut mem_resumes = 0usize;
     while let Some(cp) = mem_cp {
-        let decoded = RewriteCheckpoint::decode(&cp.encode()).expect("checkpoint round-trips");
+        let decoded = RewriteCheckpoint::decode(&Run::default(), &cp.encode())
+            .expect("checkpoint round-trips");
         assert_eq!(&decoded, cp.as_ref());
         // Resume under the wide budget: a real trip's residency is still
         // resident, so resuming with the tight budget would re-trip.
         let (o, s, c) =
-            guarded_to_linear_resume(&mem_set, &mem_opts, &tight_cache, &decoded, &clean_token)
-                .expect("resume context matches");
+            mem_linear(&tight_run, &mem_opts, Some(&decoded)).expect("resume context matches");
         mem_outcome = o;
         mem_stats = s;
         mem_cp = c;
@@ -1327,7 +1390,7 @@ fn bench_rewrite_json(smoke: bool) {
     let (tc_tgds, tc_inst) = tc_workload(if smoke { 140 } else { 200 }, 3);
     let shard_one = chase(&tc_inst, &tc_tgds, ChaseVariant::Restricted, tc_budget());
     tgdkit_chase::reset_shard_stats();
-    let shard_result = chase_sharded(
+    let shard_result = chase_with_shards(
         &tc_inst,
         &tc_tgds,
         ChaseVariant::Restricted,

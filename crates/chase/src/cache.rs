@@ -27,13 +27,13 @@
 //! countermodel search on `Unknown` — so verdicts agree bit-for-bit with the
 //! unshared, uncached path.
 
-use crate::chase::{chase_governed, ChaseBudget, ChaseOutcome, ChaseVariant};
+use crate::chase::{chase_fresh, ChaseBudget, ChaseOutcome, ChaseVariant};
 use crate::checkpoint::{BatchCheckpoint, CheckpointError};
-use crate::countermodel::{refute_by_countermodel_governed, SearchBudget};
-use crate::entail::{entails_auto_governed, freeze_body, Entailment};
+use crate::countermodel::{refute_by_countermodel, SearchBudget};
+use crate::entail::{entails_all, freeze_body, Entailment};
 use crate::faults::FaultSite;
-use crate::govern::CancelToken;
-use crate::linear::entails_linear_governed;
+use crate::govern::{CancelToken, Run};
+use crate::linear::entails_linear;
 use crate::memory::MemoryAccountant;
 use crate::stats::ChaseStats;
 use std::borrow::Cow;
@@ -51,9 +51,9 @@ use tgdkit_logic::{canonical_tgd_with_key, tgd_variant_key, Schema, Tgd, TgdVari
 /// candidate is decided under a different set or budget.
 type KeyedVerdicts = Vec<(u64, ChaseBudget, Entailment)>;
 
-/// Result of the suspendable batch entry points: per-candidate verdicts,
-/// batch stats, and the checkpoint when the run suspended on the byte
-/// budget (`None` when it ran to completion or was merely cancelled).
+/// Result of [`entails_batch`]: per-candidate verdicts, batch stats, and
+/// the checkpoint when a checkpointing run suspended (`None` when it ran
+/// to completion or was merely cancelled).
 pub type BatchRun = (
     Vec<Entailment>,
     EntailBatchStats,
@@ -319,7 +319,7 @@ impl EntailCache {
         self.store_key(&tgd_variant_key(candidate), fingerprint, budget, v);
     }
 
-    fn lookup_key(
+    pub(crate) fn lookup_key(
         &self,
         key: &TgdVariantKey,
         fingerprint: u64,
@@ -386,7 +386,13 @@ impl EntailCache {
         self.approx_bytes.store(inner.bytes, Ordering::Relaxed);
     }
 
-    fn store_key(&self, key: &TgdVariantKey, fingerprint: u64, budget: ChaseBudget, v: Entailment) {
+    pub(crate) fn store_key(
+        &self,
+        key: &TgdVariantKey,
+        fingerprint: u64,
+        budget: ChaseBudget,
+        v: Entailment,
+    ) {
         let mut inner = self.write_inner();
         self.store_locked(&mut inner, key, fingerprint, budget, v);
         self.approx_bytes.store(inner.bytes, Ordering::Relaxed);
@@ -597,7 +603,13 @@ pub fn evaluate_group(
     // is `FaultSite::BudgetTrip`'s job — so the member chases run under a
     // view of the token that masks the injection (real byte governance is
     // untouched; it is deterministic and hits clean reruns identically).
-    let token = &token.masking_fault(FaultSite::MemBudgetTrip);
+    let run = Run {
+        token: token.masking_fault(FaultSite::MemBudgetTrip),
+        cache: None,
+        shards: 1,
+        checkpoint: false,
+    };
+    let token = &run.token;
     let sigma_linear = !sigma.is_empty() && sigma.iter().all(Tgd::is_linear);
     let mut shared: Option<(InstanceIndex, ChaseOutcome)> = None;
     let mut verdicts = Vec::with_capacity(group.members.len());
@@ -629,14 +641,12 @@ pub fn evaluate_group(
         if sigma_linear {
             // Saturation cap proportional to the chase budget's appetite
             // (mirrors `entails_auto`).
-            verdict =
-                entails_linear_governed(schema, sigma, cand, budget.max_facts.max(10_000), token);
+            verdict = entails_linear(&run, schema, sigma, cand, budget.max_facts.max(10_000)).0;
         }
         if verdict == Entailment::Unknown && !token.is_cancelled() {
             if shared.is_none() {
                 let frozen = freeze_body(schema, cand);
-                let result =
-                    chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
+                let result = chase_fresh(&run, &frozen, sigma, ChaseVariant::Restricted, budget);
                 stats.bodies_chased += 1;
                 stats.chase.absorb(&result.stats);
                 // A cancelled chase yields a round-prefix, not the model the
@@ -677,13 +687,7 @@ pub fn evaluate_group(
             } else if token.is_cancelled() {
                 Entailment::Unknown
             } else {
-                refute_by_countermodel_governed(
-                    schema,
-                    sigma,
-                    cand,
-                    &SearchBudget::default(),
-                    token,
-                )
+                refute_by_countermodel(&run, schema, sigma, cand, &SearchBudget::default())
             };
         }
         let storable = verdict != Entailment::Unknown || !token.is_tainted();
@@ -703,128 +707,60 @@ pub fn evaluate_group(
 }
 
 /// Batch entailment `{ Σ ⊨ σ | σ ∈ candidates }` with body-grouped chase
-/// sharing and optional memoization.
+/// sharing, under a [`Run`] context.
 ///
-/// Returns one verdict per candidate (in input order) plus the batch's
-/// sharing/caching counters. Verdicts agree with calling
-/// [`crate::entails_auto`] per candidate.
+/// Returns one verdict per candidate (in input order), the batch's
+/// sharing/caching counters, and — for a checkpointing run that suspended
+/// — a [`BatchCheckpoint`]. Verdicts agree with calling
+/// [`crate::entails_auto`] per candidate. `run.cache` memoizes verdicts
+/// across calls (`None`: no cache).
+///
+/// - **Cancellation.** Once `run.token` reports cancellation, remaining
+///   groups are skipped and their candidates settle as `Unknown`, so the
+///   returned vector is always full-length and sound.
+/// - **Suspension.** Memory is charged at **group boundaries**: before each
+///   body group the accountant observes the cache's resident bytes plus
+///   the peak chase arena so far against [`ChaseBudget::max_bytes`]. A
+///   trip (real, or an injected [`FaultSite::MemBudgetTrip`]) or a due
+///   [`CancelToken::should_suspend`] stops the batch there, remaining
+///   candidates staying `Unknown`. With `run.checkpoint` the stop also
+///   returns a checkpoint capturing every already-decided verdict; a run
+///   that finishes (or is merely cancelled) returns none.
+/// - **Resume.** Starting from `resume` — with the same budget after an
+///   injected trip or a quantum, or a larger `max_bytes` (or a smaller
+///   cache) after a real byte trip, which would otherwise re-trip at the
+///   first boundary — completes the batch with verdicts identical to an
+///   uninterrupted run. `schema`, `sigma` and `candidates` must be the
+///   ones the checkpoint was taken under: the candidate count, a
+///   fingerprint of the tgd set and the (ordered) candidate list, and the
+///   body-group count are validated, and a mismatch is a typed
+///   [`CheckpointError::ContextMismatch`], never a wrong verdict. `budget`
+///   is absolute, not incremental.
 pub fn entails_batch(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     candidates: &[Tgd],
     budget: ChaseBudget,
-    cache: Option<&EntailCache>,
-) -> (Vec<Entailment>, EntailBatchStats) {
-    entails_batch_governed(
-        schema,
-        sigma,
-        candidates,
-        budget,
-        cache,
-        &CancelToken::new(),
-    )
-}
-
-/// [`entails_batch`] under a [`CancelToken`]: once the token reports
-/// cancellation, remaining groups are skipped and their candidates settle
-/// as `Unknown` (pre-initialized in the shared loop), so the returned
-/// vector is always full-length and sound. The batch also trips on the
-/// byte budget at group boundaries (same sites as the checkpointing entry
-/// point), settling remaining candidates as `Unknown`.
-pub fn entails_batch_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: Option<&EntailCache>,
-    token: &CancelToken,
-) -> (Vec<Entailment>, EntailBatchStats) {
-    let fp = sigma_fingerprint(sigma);
-    let (verdicts, stats, _) =
-        batch_impl(schema, sigma, candidates, budget, cache, token, None, fp);
-    (verdicts, stats)
-}
-
-/// [`entails_batch_governed`] that additionally returns a resumable
-/// [`BatchCheckpoint`] when the run suspends on the byte budget
-/// ([`ChaseBudget::max_bytes`]) or an injected
-/// [`FaultSite::MemBudgetTrip`].
-///
-/// Memory is charged at **group boundaries**: before each body group the
-/// accountant observes the cache's resident bytes plus the peak chase
-/// arena so far, and a trip suspends the batch with every already-decided
-/// verdict captured in the checkpoint (remaining candidates stay
-/// `Unknown`, which is sound). Feeding the checkpoint to
-/// [`entails_batch_resume`] — with the same budget after an injected trip,
-/// or a larger one (or a smaller cache) after a real byte trip, which
-/// would otherwise re-trip at the first boundary — completes the batch
-/// with verdicts identical to an uninterrupted run. A run that finishes
-/// (or is merely cancelled) returns no checkpoint.
-pub fn entails_batch_checkpointing(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: Option<&EntailCache>,
-    token: &CancelToken,
-) -> BatchRun {
-    let fp = sigma_fingerprint(sigma);
-    batch_impl(schema, sigma, candidates, budget, cache, token, None, fp)
-}
-
-/// Resumes a suspended [`entails_batch_checkpointing`] run.
-///
-/// `schema`, `sigma`, and `candidates` must be the ones the checkpoint was
-/// taken under; the tgd-set fingerprint, candidate count and body-group
-/// count are validated and a mismatch is a typed
-/// [`CheckpointError::ContextMismatch`], never a wrong verdict. `budget`
-/// is absolute, not incremental — resume with the suspended budget after
-/// an injected trip, or a larger `max_bytes` after a real one.
-pub fn entails_batch_resume(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: Option<&EntailCache>,
-    checkpoint: &BatchCheckpoint,
-    token: &CancelToken,
-) -> Result<BatchRun, CheckpointError> {
-    let fp = sigma_fingerprint(sigma);
-    if checkpoint.sigma_fp != fp {
-        return Err(CheckpointError::ContextMismatch("tgd set"));
-    }
-    if checkpoint.verdicts.len() != candidates.len() {
-        return Err(CheckpointError::ContextMismatch("candidate count"));
-    }
-    if checkpoint.done.len() != group_by_body(candidates).len() {
-        return Err(CheckpointError::ContextMismatch("body-group count"));
-    }
-    Ok(batch_impl(
-        schema,
-        sigma,
-        candidates,
-        budget,
-        cache,
-        token,
-        Some(checkpoint),
-        fp,
-    ))
-}
-
-/// Shared loop of the batch entry points: group, skip groups already done
-/// by a resumed checkpoint, charge memory at each group boundary, evaluate.
-#[allow(clippy::too_many_arguments)]
-fn batch_impl(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: Option<&EntailCache>,
-    token: &CancelToken,
     resume: Option<&BatchCheckpoint>,
-    sigma_fp: u64,
-) -> BatchRun {
+) -> Result<BatchRun, CheckpointError> {
+    let token = &run.token;
+    let sigma_fp = sigma_fingerprint(sigma);
     let groups = group_by_body(candidates);
+    let context_fp = || batch_context_fingerprint(sigma_fp, candidates.len(), &groups);
+    if let Some(cp) = resume {
+        if cp.verdicts.len() != candidates.len() {
+            return Err(CheckpointError::ContextMismatch("candidate count"));
+        }
+        if cp.context_fp != context_fp() {
+            return Err(CheckpointError::ContextMismatch(
+                "tgd set or candidate list",
+            ));
+        }
+        if cp.done.len() != groups.len() {
+            return Err(CheckpointError::ContextMismatch("body-group count"));
+        }
+    }
     let (mut stats, mut verdicts, mut done, mut tainted) = match resume {
         Some(cp) => {
             let mut stats = cp.stats;
@@ -850,6 +786,7 @@ fn batch_impl(
             )
         }
     };
+    let cache = run.cache;
     let accountant = MemoryAccountant::new(budget.effective_max_bytes());
     let keyed = cache.map(|c| (c, sigma_fp));
     let evictions_before = cache.map_or(0, EntailCache::evictions);
@@ -882,9 +819,9 @@ fn batch_impl(
         stats.evictions += c.evictions().saturating_sub(evictions_before);
     }
     tainted = tainted || token.is_tainted();
-    let checkpoint = if suspended {
+    let checkpoint = if suspended && run.checkpoint {
         Some(Box::new(BatchCheckpoint {
-            sigma_fp,
+            context_fp: context_fp(),
             budget,
             done,
             verdicts: verdicts.clone(),
@@ -894,41 +831,27 @@ fn batch_impl(
     } else {
         None
     };
-    (verdicts, stats, checkpoint)
+    Ok((verdicts, stats, checkpoint))
 }
 
-/// [`crate::entails_auto`] through an [`EntailCache`].
-pub fn entails_auto_cached(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: ChaseBudget,
-    cache: &EntailCache,
-) -> Entailment {
-    entails_auto_cached_governed(schema, sigma, candidate, budget, cache, &CancelToken::new())
-}
-
-/// [`entails_auto_cached`] under a [`CancelToken`]. Cache stores are
-/// taint-gated the same way as [`evaluate_group`]: an `Unknown` produced
-/// while the token is cancelled or fault-injected is returned but not
-/// memoized.
-pub fn entails_auto_cached_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: ChaseBudget,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> Entailment {
-    let (key, fingerprint) = (tgd_variant_key(candidate), sigma_fingerprint(sigma));
-    if let Some(v) = cache.lookup_key(&key, fingerprint, budget) {
-        return v;
+/// The context a [`BatchCheckpoint`] is bound to: the tgd set's cache
+/// fingerprint and an order-sensitive fingerprint of the candidate list
+/// (verdict slots are positional). The candidates' variant keys come from
+/// the grouping, so binding them canonicalizes nothing twice.
+fn batch_context_fingerprint(sigma_fp: u64, count: usize, groups: &[BodyGroup]) -> u64 {
+    let mut keys: Vec<Option<&TgdVariantKey>> = vec![None; count];
+    for group in groups {
+        for (idx, _, key) in &group.members {
+            keys[*idx] = Some(key);
+        }
     }
-    let v = entails_auto_governed(schema, sigma, candidate, budget, token);
-    if v != Entailment::Unknown || !token.is_tainted() {
-        cache.store_key(&key, fingerprint, budget, v);
+    let mut hasher = DefaultHasher::new();
+    sigma_fp.hash(&mut hasher);
+    count.hash(&mut hasher);
+    for key in keys.into_iter().flatten() {
+        key.hash(&mut hasher);
     }
-    v
+    hasher.finish()
 }
 
 /// [`crate::entails_all`] through an [`EntailCache`] (three-valued
@@ -940,41 +863,11 @@ pub fn entails_all_cached(
     budget: ChaseBudget,
     cache: &EntailCache,
 ) -> Entailment {
-    entails_all_cached_governed(
-        schema,
-        sigma,
-        candidates,
-        budget,
-        cache,
-        &CancelToken::new(),
-    )
-}
-
-/// [`entails_all_cached`] under a [`CancelToken`]: a cancellation observed
-/// between candidates degrades the conjunction to `Unknown` (never a false
-/// `Proved` from an unfinished sweep) unless some candidate already
-/// disproved it.
-pub fn entails_all_cached_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> Entailment {
-    let mut acc = Entailment::Proved;
-    for c in candidates {
-        if token.is_cancelled() {
-            return acc.and(Entailment::Unknown);
-        }
-        acc = acc.and(entails_auto_cached_governed(
-            schema, sigma, c, budget, cache, token,
-        ));
-        if acc == Entailment::Disproved {
-            return acc;
-        }
-    }
-    acc
+    let run = Run {
+        cache: Some(cache),
+        ..Run::default()
+    };
+    entails_all(&run, schema, sigma, candidates, budget).0
 }
 
 #[cfg(test)]
@@ -982,6 +875,56 @@ mod tests {
     use super::*;
     use crate::entail::entails_auto;
     use tgdkit_logic::{parse_tgd, parse_tgds};
+
+    /// A non-checkpointing batch with a fresh token.
+    fn batch(
+        s: &Schema,
+        sigma: &[Tgd],
+        candidates: &[Tgd],
+        budget: ChaseBudget,
+        cache: Option<&EntailCache>,
+    ) -> (Vec<Entailment>, EntailBatchStats) {
+        let run = Run {
+            cache,
+            ..Run::default()
+        };
+        let (verdicts, stats, _) = entails_batch(&run, s, sigma, candidates, budget, None).unwrap();
+        (verdicts, stats)
+    }
+
+    /// A checkpointing batch under `token`, started fresh or from `resume`.
+    fn checkpointing(
+        s: &Schema,
+        sigma: &[Tgd],
+        candidates: &[Tgd],
+        budget: ChaseBudget,
+        cache: Option<&EntailCache>,
+        token: &CancelToken,
+        resume: Option<&BatchCheckpoint>,
+    ) -> Result<BatchRun, CheckpointError> {
+        let run = Run {
+            token: token.clone(),
+            cache,
+            checkpoint: true,
+            ..Run::default()
+        };
+        entails_batch(&run, s, sigma, candidates, budget, resume)
+    }
+
+    /// [`entails_auto`] through `cache`.
+    fn auto_cached(
+        s: &Schema,
+        sigma: &[Tgd],
+        candidate: &Tgd,
+        budget: ChaseBudget,
+        cache: &EntailCache,
+    ) -> Entailment {
+        let run = Run {
+            cache: Some(cache),
+            ..Run::default()
+        };
+        entails_auto(&run, s, sigma, candidate, budget).0
+    }
 
     fn schema_and_sigma(text: &str) -> (Schema, Vec<Tgd>) {
         let mut s = Schema::default();
@@ -1030,9 +973,9 @@ mod tests {
         let budget = ChaseBudget::default();
         let expected: Vec<Entailment> = candidates
             .iter()
-            .map(|c| entails_auto(&s, &sigma, c, budget))
+            .map(|c| entails_auto(&Run::default(), &s, &sigma, c, budget).0)
             .collect();
-        let (got, stats) = entails_batch(&s, &sigma, &candidates, budget, None);
+        let (got, stats) = batch(&s, &sigma, &candidates, budget, None);
         assert_eq!(got, expected);
         assert_eq!(stats.candidates, 5);
         assert!(stats.body_groups < stats.candidates, "bodies were shared");
@@ -1047,16 +990,16 @@ mod tests {
         let variant = parse_tgd(&mut s2, "E(a,b) -> E(a,a)").unwrap();
         let cache = EntailCache::new();
         let budget = ChaseBudget::default();
-        let v1 = entails_auto_cached(&s, &sigma, &candidate, budget, &cache);
+        let v1 = auto_cached(&s, &sigma, &candidate, budget, &cache);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 1);
-        let v2 = entails_auto_cached(&s, &sigma, &variant, budget, &cache);
+        let v2 = auto_cached(&s, &sigma, &variant, budget, &cache);
         assert_eq!(v1, v2);
         assert_eq!(cache.hits(), 1, "renaming variant hits the same entry");
         assert_eq!(cache.len(), 1);
         // A different Σ fingerprint misses.
         let (s3, other) = schema_and_sigma("E(x,y) -> E(y,x). E(x,y) -> E(x,x).");
-        let _ = entails_auto_cached(&s3, &other, &candidate, budget, &cache);
+        let _ = auto_cached(&s3, &other, &candidate, budget, &cache);
         assert_eq!(cache.misses(), 2);
     }
 
@@ -1070,9 +1013,9 @@ mod tests {
         ];
         let cache = EntailCache::new();
         let budget = ChaseBudget::default();
-        let (cold, cold_stats) = entails_batch(&s, &sigma, &candidates, budget, Some(&cache));
+        let (cold, cold_stats) = batch(&s, &sigma, &candidates, budget, Some(&cache));
         assert_eq!(cold_stats.cache_misses, 2);
-        let (warm, warm_stats) = entails_batch(&s, &sigma, &candidates, budget, Some(&cache));
+        let (warm, warm_stats) = batch(&s, &sigma, &candidates, budget, Some(&cache));
         assert_eq!(cold, warm);
         assert_eq!(warm_stats.cache_hits, 2);
         assert_eq!(warm_stats.bodies_chased, 0, "warm batch never chases");
@@ -1085,8 +1028,8 @@ mod tests {
         let mut s2 = s.clone();
         let candidate = parse_tgd(&mut s2, "R(x,y) -> T(x)").unwrap();
         let cache = EntailCache::new();
-        let _ = entails_auto_cached(&s, &sigma, &candidate, ChaseBudget::default(), &cache);
-        let _ = entails_auto_cached(&s, &sigma, &candidate, ChaseBudget::small(), &cache);
+        let _ = auto_cached(&s, &sigma, &candidate, ChaseBudget::default(), &cache);
+        let _ = auto_cached(&s, &sigma, &candidate, ChaseBudget::small(), &cache);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.hits(), 0);
     }
@@ -1157,7 +1100,7 @@ mod tests {
             parse_tgd(&mut s2, "P(x) -> E(x,x)").unwrap(),
         ];
         let budget = ChaseBudget::default();
-        let (plain, plain_stats) = entails_batch(&s, &sigma, &candidates, budget, None);
+        let (plain, plain_stats) = batch(&s, &sigma, &candidates, budget, None);
         for seed in 0..6u64 {
             let plan = if seed == 0 {
                 FaultPlan::always(FaultSite::MemBudgetTrip)
@@ -1166,18 +1109,18 @@ mod tests {
             };
             let token = CancelToken::with_faults(plan);
             let (_, _, cp) =
-                entails_batch_checkpointing(&s, &sigma, &candidates, budget, None, &token);
+                checkpointing(&s, &sigma, &candidates, budget, None, &token, None).unwrap();
             let Some(cp) = cp else { continue };
             // Round-trip through the binary frame, as a real caller would.
-            let cp = BatchCheckpoint::decode(&cp.encode()).unwrap();
-            let (resumed, resumed_stats, again) = entails_batch_resume(
+            let cp = BatchCheckpoint::decode(&Run::default(), &cp.encode()).unwrap();
+            let (resumed, resumed_stats, again) = checkpointing(
                 &s,
                 &sigma,
                 &candidates,
                 budget,
                 None,
-                &cp,
                 &CancelToken::new(),
+                Some(&cp),
             )
             .unwrap();
             assert!(again.is_none(), "fault-free resume runs to completion");
@@ -1210,7 +1153,7 @@ mod tests {
         .iter()
         .map(|t| parse_tgd(&mut s2, t).unwrap())
         .collect();
-        let (plain, _) = entails_batch(&s, &sigma, &candidates, ChaseBudget::default(), None);
+        let (plain, _) = batch(&s, &sigma, &candidates, ChaseBudget::default(), None);
         // Tight byte budget: roomy enough for each tiny body chase, tight
         // enough that cache residency + arena peak crosses it mid-batch.
         let tight = ChaseBudget {
@@ -1218,41 +1161,43 @@ mod tests {
             ..ChaseBudget::default()
         };
         let cache = EntailCache::new();
-        let (_, stats, cp) = entails_batch_checkpointing(
+        let (_, stats, cp) = checkpointing(
             &s,
             &sigma,
             &candidates,
             tight,
             Some(&cache),
             &CancelToken::new(),
-        );
+            None,
+        )
+        .unwrap();
         let cp = cp.expect("tight byte budget suspends the batch");
         assert!(stats.chase.mem_trips >= 1);
         assert!(cp.groups_done() < cp.groups_total());
         // Same budget after a real trip re-trips immediately at the first
         // boundary — the residency that tripped is still resident.
-        let (_, _, re) = entails_batch_resume(
+        let (_, _, re) = checkpointing(
             &s,
             &sigma,
             &candidates,
             tight,
             Some(&cache),
-            &cp,
             &CancelToken::new(),
+            Some(&cp),
         )
         .unwrap();
         assert!(
             re.is_some(),
             "same-budget resume after a real trip re-trips"
         );
-        let (resumed, resumed_stats, none) = entails_batch_resume(
+        let (resumed, resumed_stats, none) = checkpointing(
             &s,
             &sigma,
             &candidates,
             ChaseBudget::default(),
             Some(&cache),
-            &cp,
             &CancelToken::new(),
+            Some(&cp),
         )
         .unwrap();
         assert!(none.is_none());
@@ -1271,33 +1216,101 @@ mod tests {
         let token =
             CancelToken::with_faults(crate::faults::FaultPlan::always(FaultSite::MemBudgetTrip));
         let budget = ChaseBudget::default();
-        let (_, _, cp) = entails_batch_checkpointing(&s, &sigma, &candidates, budget, None, &token);
+        let (_, _, cp) =
+            checkpointing(&s, &sigma, &candidates, budget, None, &token, None).unwrap();
         let cp = cp.unwrap();
         let (_, other) = schema_and_sigma("R(x,y) -> T(y).");
         assert!(matches!(
-            entails_batch_resume(
+            checkpointing(
                 &s,
                 &other,
                 &candidates,
                 budget,
                 None,
-                &cp,
-                &CancelToken::new()
+                &CancelToken::new(),
+                Some(&cp)
             ),
-            Err(CheckpointError::ContextMismatch("tgd set"))
+            Err(CheckpointError::ContextMismatch(
+                "tgd set or candidate list"
+            ))
         ));
         assert!(matches!(
-            entails_batch_resume(
+            checkpointing(
                 &s,
                 &sigma,
                 &candidates[..1],
                 budget,
                 None,
-                &cp,
-                &CancelToken::new()
+                &CancelToken::new(),
+                Some(&cp)
             ),
             Err(CheckpointError::ContextMismatch("candidate count"))
         ));
+        // A frame whose group flags disagree with the grouping of the very
+        // candidates it is bound to (a hand-built or damaged frame).
+        let mut skewed = (*cp).clone();
+        skewed.done.push(false);
+        assert!(matches!(
+            checkpointing(
+                &s,
+                &sigma,
+                &candidates,
+                budget,
+                None,
+                &CancelToken::new(),
+                Some(&skewed)
+            ),
+            Err(CheckpointError::ContextMismatch("body-group count"))
+        ));
+    }
+
+    #[test]
+    fn batch_resume_rejects_reordered_candidates() {
+        let (s, sigma) = schema_and_sigma("R(x,y) -> T(x).");
+        let mut s2 = s.clone();
+        let candidates = vec![
+            parse_tgd(&mut s2, "R(x,y) -> T(x)").unwrap(),
+            parse_tgd(&mut s2, "U(x) -> T(x)").unwrap(),
+        ];
+        let swapped = vec![candidates[1].clone(), candidates[0].clone()];
+        let budget = ChaseBudget::default();
+        // Suspend after the first of the two body groups.
+        let token = CancelToken::with_suspend_after_checks(1);
+        let (_, _, cp) =
+            checkpointing(&s2, &sigma, &candidates, budget, None, &token, None).unwrap();
+        let cp =
+            BatchCheckpoint::decode(&Run::default(), &cp.expect("suspended").encode()).unwrap();
+        assert_eq!((cp.groups_done(), cp.groups_total()), (1, 2));
+        // Same count, same groups, same Σ — only the slot order differs, so
+        // resuming would hand the swapped list the other list's verdicts.
+        assert_eq!(
+            checkpointing(
+                &s2,
+                &sigma,
+                &swapped,
+                budget,
+                None,
+                &CancelToken::new(),
+                Some(&cp)
+            )
+            .unwrap_err(),
+            CheckpointError::ContextMismatch("tgd set or candidate list")
+        );
+        let (resumed, _, _) = checkpointing(
+            &s2,
+            &sigma,
+            &candidates,
+            budget,
+            None,
+            &CancelToken::new(),
+            Some(&cp),
+        )
+        .unwrap();
+        assert_eq!(resumed, batch(&s2, &sigma, &candidates, budget, None).0);
+        assert_eq!(
+            batch(&s2, &sigma, &swapped, budget, None).0,
+            vec![Entailment::Disproved, Entailment::Proved]
+        );
     }
 
     #[test]
@@ -1307,7 +1320,7 @@ mod tests {
         let candidate = parse_tgd(&mut s2, "E(x,y) -> E(x,x)").unwrap();
         let cache = EntailCache::new();
         let budget = ChaseBudget::default();
-        let before = entails_auto_cached(&s, &sigma, &candidate, budget, &cache);
+        let before = auto_cached(&s, &sigma, &candidate, budget, &cache);
         // Poison the lock the way a contained worker panic would: unwind
         // while holding the write guard. The coherent state survives.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1319,7 +1332,7 @@ mod tests {
         // Pre-fix, each of these calls aborted via
         // `.expect("entail cache poisoned")`. Now they recover and the
         // memoized verdict is still served.
-        let after = entails_auto_cached(&s, &sigma, &candidate, budget, &cache);
+        let after = auto_cached(&s, &sigma, &candidate, budget, &cache);
         assert_eq!(before, after);
         assert!(cache.poison_recoveries() >= 1);
         assert_eq!(cache.poison_clears(), 0, "coherent state is kept");
@@ -1376,26 +1389,26 @@ mod tests {
             parse_tgd(&mut s2, "P(x) -> E(x,x)").unwrap(),
         ];
         let budget = ChaseBudget::default();
-        let (plain, plain_stats) = entails_batch(&s, &sigma, &candidates, budget, None);
+        let (plain, plain_stats) = batch(&s, &sigma, &candidates, budget, None);
         // Suspend at every group boundary in turn; each run then resumes
         // to completion with a fresh token and must match the dedicated
         // run exactly, with no mem trips charged.
         for boundary in 0..4u64 {
             let token = CancelToken::with_suspend_after_checks(boundary);
             let (_, _, mut cp) =
-                entails_batch_checkpointing(&s, &sigma, &candidates, budget, None, &token);
+                checkpointing(&s, &sigma, &candidates, budget, None, &token, None).unwrap();
             let mut resumed = None;
             let mut hops = 0;
             while let Some(inner) = cp {
-                let decoded = BatchCheckpoint::decode(&inner.encode()).unwrap();
-                let (v, st, next) = entails_batch_resume(
+                let decoded = BatchCheckpoint::decode(&Run::default(), &inner.encode()).unwrap();
+                let (v, st, next) = checkpointing(
                     &s,
                     &sigma,
                     &candidates,
                     budget,
                     None,
-                    &decoded,
                     &CancelToken::new(),
+                    Some(&decoded),
                 )
                 .unwrap();
                 resumed = Some((v, st));
@@ -1426,8 +1439,7 @@ mod tests {
             parse_tgd(&mut s2, "true -> exists x : Q(x)").unwrap(),
             parse_tgd(&mut s2, "true -> exists x : P(x)").unwrap(),
         ];
-        let (verdicts, stats) =
-            entails_batch(&s, &sigma, &candidates, ChaseBudget::default(), None);
+        let (verdicts, stats) = batch(&s, &sigma, &candidates, ChaseBudget::default(), None);
         assert_eq!(verdicts, vec![Entailment::Proved; 2]);
         assert_eq!(stats.body_groups, 1);
         assert_eq!(stats.bodies_chased, 1);

@@ -3,7 +3,7 @@
 
 use crate::checkpoint::{tgds_fingerprint, ChaseCheckpoint, CheckpointError};
 use crate::faults::FaultSite;
-use crate::govern::CancelToken;
+use crate::govern::{CancelToken, Run};
 use crate::memory::MemoryAccountant;
 use crate::shard::{find_round_triggers, record_run_shape};
 use crate::stats::ChaseStats;
@@ -241,97 +241,109 @@ pub fn chase(
     variant: ChaseVariant,
     budget: ChaseBudget,
 ) -> ChaseResult {
-    chase_sharded(start, tgds, variant, budget, 1)
+    chase_from(
+        &Run::default(),
+        ChaseStart::Fresh(start),
+        tgds,
+        variant,
+        budget,
+    )
+    .expect("a fresh start has no checkpoint to mismatch")
+    .0
 }
 
-/// [`chase`] over a store hash-partitioned across `shards` shards: the
-/// semi-naive trigger search runs shard-local with a deterministic
-/// cross-shard exchange phase ([`crate::shard`]), and per-round trigger
-/// runs merge with one canonical sort — so the result is **bit-for-bit
-/// equal** to [`chase`] at any shard count (instance, nulls, null
-/// numbering, outcome, rounds).
+/// Where [`chase_from`] starts: a fresh chase of an instance, or the state
+/// captured in a [`ChaseCheckpoint`] by an earlier run that stopped short.
+#[derive(Debug, Clone, Copy)]
+pub enum ChaseStart<'a> {
+    /// Chase this instance from round 0.
+    Fresh(&'a Instance),
+    /// Continue a suspended run.
+    Resume(&'a ChaseCheckpoint),
+}
+
+/// The chase under a [`Run`] context — the one entry point behind
+/// [`chase`], started fresh or from a checkpoint.
 ///
-/// `shards` is clamped to at least 1; one shard is what [`chase`] runs.
-/// Use [`crate::shards_from_env`] to honor `TGDKIT_SHARDS`.
-pub fn chase_sharded(
-    start: &Instance,
+/// - **Cancellation.** `run.token` is checked at every round start and
+///   polled inside the trigger search and the apply loop, so a cancelled
+///   run stops within one round and reports [`ChaseOutcome::Cancelled`]
+///   with the instance *as of the last completed round* and coherent
+///   [`ChaseStats`] for the work actually done. Trigger-search panics (real
+///   or injected via [`crate::faults`]) are contained: the round's partial
+///   trigger set is discarded, the panic is counted in
+///   [`ChaseStats::panics_contained`], and the run reports `Cancelled`.
+/// - **Sharding.** The store is hash-partitioned across `run.shards`
+///   shards: the semi-naive trigger search runs shard-local with a
+///   deterministic cross-shard exchange ([`crate::shard`]), so the result is
+///   **bit-for-bit equal** at any shard count. Use
+///   [`crate::shards_from_env`] to honor `TGDKIT_SHARDS`.
+/// - **Checkpoints.** With `run.checkpoint`, a run that stops short of a
+///   fixpoint on a resumable round boundary (budget, memory, or
+///   cancellation trip) also returns a [`ChaseCheckpoint`]. Starting from
+///   it with [`ChaseStart::Resume`] — with a larger budget, since budgets
+///   are absolute across segments — continues the run byte-identically to
+///   one that was never interrupted. The resume keeps the checkpoint's
+///   shard count (partitioning is a pure function of the facts).
+///
+/// A resume must use the tgd set and variant the checkpoint was captured
+/// under — the set is validated by an order-sensitive fingerprint, since
+/// trigger ordering is positional — or it fails with
+/// [`CheckpointError::ContextMismatch`]. A fresh start never fails.
+pub fn chase_from(
+    run: &Run,
+    start: ChaseStart<'_>,
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    shards: usize,
-) -> ChaseResult {
-    chase_sharded_governed(start, tgds, variant, budget, shards, &CancelToken::new())
+) -> Result<(ChaseResult, Option<Box<ChaseCheckpoint>>), CheckpointError> {
+    // Only a resume or a capture needs the fingerprint.
+    let sigma_fp = || tgds_fingerprint(tgds);
+    let (start, shards) = match start {
+        ChaseStart::Fresh(instance) => (RunStart::Fresh(instance), run.shards.max(1)),
+        ChaseStart::Resume(checkpoint) => {
+            if checkpoint.sigma_fp != sigma_fp() {
+                return Err(CheckpointError::ContextMismatch("tgd set"));
+            }
+            if checkpoint.variant != variant {
+                return Err(CheckpointError::ContextMismatch("chase variant"));
+            }
+            if !checkpoint.fired.is_empty() && checkpoint.fired.len() != tgds.len() {
+                return Err(CheckpointError::ContextMismatch("fired-set arity"));
+            }
+            let shards = checkpoint.shards.max(1) as usize;
+            (RunStart::Resume(Box::new(checkpoint.clone())), shards)
+        }
+    };
+    let (result, end) = chase_impl(start, tgds, variant, budget, shards, &run.token, None);
+    let checkpoint = if run.checkpoint {
+        capture_checkpoint(&result, end, variant, sigma_fp(), shards as u32)
+    } else {
+        None
+    };
+    Ok((result, checkpoint))
 }
 
-/// [`chase_sharded`] under a [`CancelToken`] — the sharded counterpart of
-/// [`chase_governed`], with the same cancellation/round-prefix guarantees
-/// (the token is polled inside every shard's enumeration).
-pub fn chase_sharded_governed(
+/// A fresh chase under `run`'s token and shard count that never captures
+/// a checkpoint — the inner chases of the entailment procedures.
+pub(crate) fn chase_fresh(
+    run: &Run,
     start: &Instance,
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    shards: usize,
-    token: &CancelToken,
 ) -> ChaseResult {
+    let shards = run.shards.max(1);
     chase_impl(
         RunStart::Fresh(start),
         tgds,
         variant,
         budget,
         shards,
-        token,
+        &run.token,
         None,
     )
     .0
-}
-
-/// [`chase_sharded_governed`] that additionally captures a
-/// [`ChaseCheckpoint`] on a resumable stop, exactly like
-/// [`chase_checkpointing`]. The checkpoint records the shard count, so
-/// [`chase_resume`] re-partitions the captured instance (partitioning is a
-/// pure function of the facts) and continues at the same shard count.
-pub fn chase_sharded_checkpointing(
-    start: &Instance,
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-    shards: usize,
-    token: &CancelToken,
-) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
-    let sigma_fp = tgds_fingerprint(tgds);
-    let shards = shards.max(1);
-    let (result, end) = chase_impl(
-        RunStart::Fresh(start),
-        tgds,
-        variant,
-        budget,
-        shards,
-        token,
-        None,
-    );
-    let checkpoint = capture_checkpoint(&result, end, variant, sigma_fp, shards as u32);
-    (result, checkpoint)
-}
-
-/// [`chase`] under a [`CancelToken`]: the token is checked at every round
-/// start and polled inside the trigger search and the apply loop, so a
-/// cancelled run stops within one round and reports
-/// [`ChaseOutcome::Cancelled`] with the instance *as of the last completed
-/// round* and coherent [`ChaseStats`] for the work actually done.
-///
-/// Trigger-search panics (real or injected via [`crate::faults`]) are
-/// contained with `catch_unwind`: the round's partial trigger set is
-/// discarded, the panic is counted in [`ChaseStats::panics_contained`], and
-/// the run reports `Cancelled` instead of unwinding the caller.
-pub fn chase_governed(
-    start: &Instance,
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> ChaseResult {
-    chase_sharded_governed(start, tgds, variant, budget, 1, token)
 }
 
 /// [`chase`] with a derivation log: every fired trigger is recorded with
@@ -701,60 +713,6 @@ fn capture_checkpoint(
     }))
 }
 
-/// [`chase_governed`] that additionally captures a [`ChaseCheckpoint`]
-/// whenever the run stops short of a fixpoint on a resumable round
-/// boundary (budget, memory, or cancellation trip). Feed the checkpoint to
-/// [`chase_resume`] — with a larger budget, since budgets are absolute
-/// across segments — to continue the run byte-identically to one that was
-/// never interrupted.
-pub fn chase_checkpointing(
-    start: &Instance,
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
-    chase_sharded_checkpointing(start, tgds, variant, budget, 1, token)
-}
-
-/// Continues a suspended chase from `checkpoint` under a (typically
-/// larger) budget. The tgd set must be the one the checkpoint was captured
-/// from — validated by an order-sensitive fingerprint, since trigger
-/// ordering is positional — and the run continues with the captured
-/// variant, frontier, null counter, and stats, so the final result is
-/// byte-identical to an uninterrupted run with the final budget. Returns a
-/// fresh checkpoint when the resumed run trips again.
-pub fn chase_resume(
-    checkpoint: &ChaseCheckpoint,
-    tgds: &[Tgd],
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> Result<(ChaseResult, Option<Box<ChaseCheckpoint>>), CheckpointError> {
-    let sigma_fp = tgds_fingerprint(tgds);
-    if checkpoint.sigma_fp != sigma_fp {
-        return Err(CheckpointError::ContextMismatch("tgd set"));
-    }
-    if !checkpoint.fired.is_empty() && checkpoint.fired.len() != tgds.len() {
-        return Err(CheckpointError::ContextMismatch("fired-set arity"));
-    }
-    let variant = checkpoint.variant;
-    // The run continues at the captured shard count: the captured instance
-    // is re-partitioned by the pure routing hash, so the continuation is
-    // byte-identical to an uninterrupted run.
-    let shards = checkpoint.shards.max(1);
-    let (result, end) = chase_impl(
-        RunStart::Resume(Box::new(checkpoint.clone())),
-        tgds,
-        variant,
-        budget,
-        shards as usize,
-        token,
-        None,
-    );
-    let next = capture_checkpoint(&result, end, variant, sigma_fp, shards);
-    Ok((result, next))
-}
-
 /// **Incremental fold**: extends an already-chased *fixpoint* with a batch
 /// of new facts and chases only the consequences of the batch, never
 /// re-deriving the base.
@@ -763,7 +721,7 @@ pub fn chase_resume(
 /// of a `Terminated` [`ChaseResult`]), and `base_nulls` its labeled-null
 /// set. The batch is inserted, the facts that were *actually* new become
 /// the semi-naive delta frontier, and the run proceeds exactly like a
-/// [`chase_resume`] from a round boundary: only triggers touching at least
+/// [`chase_from`] resume from a round boundary: only triggers touching at least
 /// one delta fact are searched, which is sound because at a fixpoint every
 /// all-old trigger is already satisfied. Folding a batch into a fixpoint
 /// is therefore byte-identical to chasing `base ∪ batch` from scratch with
@@ -773,19 +731,21 @@ pub fn chase_resume(
 ///
 /// An empty (or fully duplicate) batch returns the base unchanged as
 /// `Terminated` without searching a single trigger. Budgets count from
-/// zero for each fold, not cumulatively across folds. Like
-/// [`chase_checkpointing`], a budget/memory/cancellation trip on a round
-/// boundary yields a resumable checkpoint.
-pub fn chase_extend_governed(
+/// zero for each fold, not cumulatively across folds. Governance, shard
+/// count and checkpoint capture come from `run` as in [`chase_from`]: with
+/// `run.checkpoint`, a budget/memory/cancellation trip on a round boundary
+/// yields a resumable checkpoint.
+pub fn chase_extend(
+    run: &Run,
     base: &Instance,
     base_nulls: &BTreeSet<Elem>,
     batch: &[Fact],
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    token: &CancelToken,
 ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
     let sigma_fp = tgds_fingerprint(tgds);
+    let shards = run.shards.max(1);
     let mut instance = base.clone();
     let mut delta: Vec<Fact> = Vec::new();
     for fact in batch {
@@ -815,7 +775,7 @@ pub fn chase_extend_governed(
         variant,
         rounds: 0,
         next_null: instance.fresh_elem().0,
-        shards: 1,
+        shards: shards as u32,
         sigma_fp,
         nulls: base_nulls.clone(),
         fired: Vec::new(),
@@ -828,36 +788,18 @@ pub fn chase_extend_governed(
         tgds,
         variant,
         budget,
-        1,
-        token,
+        shards,
+        &run.token,
         None,
     );
     // The resume path counts itself as a resumption; a fold is not one.
     result.stats.resumes = result.stats.resumes.saturating_sub(1);
-    let next = capture_checkpoint(&result, end, variant, sigma_fp, 1);
+    let next = if run.checkpoint {
+        capture_checkpoint(&result, end, variant, sigma_fp, shards as u32)
+    } else {
+        None
+    };
     (result, next)
-}
-
-/// [`chase_extend_governed`] with a fresh token — the plain entry point
-/// for callers without cancellation or fault plumbing.
-pub fn chase_extend(
-    base: &Instance,
-    base_nulls: &BTreeSet<Elem>,
-    batch: &[Fact],
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-) -> ChaseResult {
-    chase_extend_governed(
-        base,
-        base_nulls,
-        batch,
-        tgds,
-        variant,
-        budget,
-        &CancelToken::new(),
-    )
-    .0
 }
 
 /// The **core chase**: a restricted chase followed by core minimization
@@ -1018,6 +960,54 @@ mod tests {
     use tgdkit_instance::parse_instance;
     use tgdkit_logic::{parse_dependencies, parse_tgds, Schema};
 
+    /// A fresh, non-checkpointing run under `token`.
+    fn governed(
+        start: &Instance,
+        tgds: &[Tgd],
+        variant: ChaseVariant,
+        budget: ChaseBudget,
+        token: &CancelToken,
+    ) -> ChaseResult {
+        let run = Run {
+            token: token.clone(),
+            ..Run::default()
+        };
+        chase_from(&run, ChaseStart::Fresh(start), tgds, variant, budget)
+            .unwrap()
+            .0
+    }
+
+    /// A fresh checkpointing run under `token`.
+    fn checkpointing(
+        start: &Instance,
+        tgds: &[Tgd],
+        variant: ChaseVariant,
+        budget: ChaseBudget,
+        token: &CancelToken,
+    ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
+        let run = Run {
+            token: token.clone(),
+            checkpoint: true,
+            ..Run::default()
+        };
+        chase_from(&run, ChaseStart::Fresh(start), tgds, variant, budget).unwrap()
+    }
+
+    /// A checkpointing run started from `checkpoint`.
+    fn resume(
+        checkpoint: &ChaseCheckpoint,
+        tgds: &[Tgd],
+        budget: ChaseBudget,
+        token: &CancelToken,
+    ) -> Result<(ChaseResult, Option<Box<ChaseCheckpoint>>), CheckpointError> {
+        let run = Run {
+            token: token.clone(),
+            checkpoint: true,
+            ..Run::default()
+        };
+        let variant = checkpoint.variant();
+        chase_from(&run, ChaseStart::Resume(checkpoint), tgds, variant, budget)
+    }
     #[test]
     fn full_tgds_reach_fixpoint() {
         let mut s = Schema::default();
@@ -1130,13 +1120,15 @@ mod tests {
         let fresh = base.instance.fresh_elem();
         let batch = vec![Fact::new(e, vec![c, fresh]), Fact::new(p, vec![a])];
         let folded = chase_extend(
+            &Run::default(),
             &base.instance,
             &base.nulls,
             &batch,
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-        );
+        )
+        .0;
         assert!(folded.terminated());
         // Reference: chase base ∪ batch from scratch. Nulls there are
         // allocated from the *start* instance's fresh_elem, so compare by
@@ -1181,13 +1173,15 @@ mod tests {
         // trigger searches, unchanged instance.
         let batch = vec![Fact::new(e, vec![a, b]), Fact::new(e, vec![b, a])];
         let folded = chase_extend(
+            &Run::default(),
             &base.instance,
             &base.nulls,
             &batch,
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-        );
+        )
+        .0;
         assert!(folded.terminated());
         assert_eq!(folded.rounds, 0);
         assert_eq!(folded.stats.triggers_found, 0);
@@ -1391,7 +1385,7 @@ mod tests {
         let start = parse_instance(&mut s, "E(a,b), E(b,c), E(c,d)").unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let result = chase_governed(
+        let result = governed(
             &start,
             &tgds,
             ChaseVariant::Restricted,
@@ -1410,7 +1404,7 @@ mod tests {
         let tgds = parse_tgds(&mut s, "E(x,y) -> exists z : E(y,z), D(y,z).").unwrap();
         let start = parse_instance(&mut s, "E(a,b)").unwrap();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let result = chase_governed(
+        let result = governed(
             &start,
             &tgds,
             ChaseVariant::Restricted,
@@ -1432,7 +1426,7 @@ mod tests {
             ChaseVariant::Restricted,
             ChaseBudget::default(),
         );
-        let governed = chase_governed(
+        let governed = governed(
             &start,
             &tgds,
             ChaseVariant::Restricted,
@@ -1453,7 +1447,7 @@ mod tests {
         let token = CancelToken::with_faults(crate::faults::FaultPlan::always(
             FaultSite::TriggerWorkerPanic,
         ));
-        let result = chase_governed(
+        let result = governed(
             &start,
             &tgds,
             ChaseVariant::Restricted,
@@ -1481,14 +1475,19 @@ mod tests {
         let token = CancelToken::with_faults(crate::faults::FaultPlan::always(
             FaultSite::TriggerWorkerPanic,
         ));
-        let result = chase_sharded_governed(
-            &start,
+        let run = Run {
+            token,
+            shards: 4,
+            ..Run::default()
+        };
+        let (result, _) = chase_from(
+            &run,
+            ChaseStart::Fresh(&start),
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-            4,
-            &token,
-        );
+        )
+        .unwrap();
         assert!(result.cancelled());
         assert_eq!(result.instance, start);
         assert!(result.stats.panics_contained >= 1);
@@ -1501,7 +1500,7 @@ mod tests {
         let start = parse_instance(&mut s, "E(a,b), E(b,c), E(c,d)").unwrap();
         let token =
             CancelToken::with_faults(crate::faults::FaultPlan::always(FaultSite::BudgetTrip));
-        let result = chase_governed(
+        let result = governed(
             &start,
             &tgds,
             ChaseVariant::Restricted,
@@ -1553,7 +1552,7 @@ mod tests {
                 FaultSite::DeadlineExpire,
                 3,
             ));
-            let result = chase_governed(
+            let result = governed(
                 &path,
                 &tgds,
                 ChaseVariant::Restricted,
@@ -1691,7 +1690,7 @@ mod tests {
         let start = parse_instance(&mut s, "E(a,b), E(b,c), E(c,d)").unwrap();
         let token =
             CancelToken::with_faults(crate::faults::FaultPlan::always(FaultSite::MemBudgetTrip));
-        let result = chase_governed(
+        let result = governed(
             &start,
             &tgds,
             ChaseVariant::Restricted,
@@ -1722,7 +1721,7 @@ mod tests {
                 max_rounds: j,
                 max_bytes: usize::MAX,
             };
-            let (tripped, checkpoint) = chase_checkpointing(
+            let (tripped, checkpoint) = checkpointing(
                 &path,
                 &tgds,
                 ChaseVariant::Restricted,
@@ -1733,10 +1732,10 @@ mod tests {
             let checkpoint = checkpoint.expect("tripped run is resumable");
             // Exercise the full encode/decode path, not just the in-memory
             // struct.
-            let decoded =
-                ChaseCheckpoint::decode(&checkpoint.encode(), &s).expect("decodes cleanly");
+            let decoded = ChaseCheckpoint::decode(&Run::default(), &checkpoint.encode(), &s)
+                .expect("decodes cleanly");
             assert_eq!(decoded, *checkpoint);
-            let (resumed, next) = chase_resume(&decoded, &tgds, generous, &CancelToken::new())
+            let (resumed, next) = resume(&decoded, &tgds, generous, &CancelToken::new())
                 .expect("checkpoint matches its tgd set");
             assert!(next.is_none(), "resumed run reaches the fixpoint");
             assert_eq!(resumed.instance, full.instance);
@@ -1759,7 +1758,7 @@ mod tests {
         };
         let full = chase(&cycle, &tgds, ChaseVariant::Oblivious, full_budget);
         for j in 0..6 {
-            let (_, checkpoint) = chase_checkpointing(
+            let (_, checkpoint) = checkpointing(
                 &cycle,
                 &tgds,
                 ChaseVariant::Oblivious,
@@ -1770,9 +1769,9 @@ mod tests {
                 &CancelToken::new(),
             );
             let checkpoint = checkpoint.expect("resumable");
-            let decoded = ChaseCheckpoint::decode(&checkpoint.encode(), &s).unwrap();
-            let (resumed, _) =
-                chase_resume(&decoded, &tgds, full_budget, &CancelToken::new()).unwrap();
+            let decoded =
+                ChaseCheckpoint::decode(&Run::default(), &checkpoint.encode(), &s).unwrap();
+            let (resumed, _) = resume(&decoded, &tgds, full_budget, &CancelToken::new()).unwrap();
             assert_eq!(resumed.instance, full.instance);
             assert_eq!(resumed.stats.normalized(), full.stats.normalized());
         }
@@ -1784,7 +1783,7 @@ mod tests {
         let tgds = parse_tgds(&mut s, "E(x,y) -> exists z : E(y,z), D(y,z).").unwrap();
         let other = parse_tgds(&mut s, "E(x,y) -> E(y,x).").unwrap();
         let start = parse_instance(&mut s, "E(a,b)").unwrap();
-        let (_, checkpoint) = chase_checkpointing(
+        let (_, checkpoint) = checkpointing(
             &start,
             &tgds,
             ChaseVariant::Restricted,
@@ -1796,7 +1795,7 @@ mod tests {
             &CancelToken::new(),
         );
         let checkpoint = checkpoint.expect("resumable");
-        let err = chase_resume(
+        let err = resume(
             &checkpoint,
             &other,
             ChaseBudget::default(),
@@ -1804,6 +1803,15 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CheckpointError::ContextMismatch(_)));
+        let err = chase_from(
+            &Run::default(),
+            ChaseStart::Resume(&checkpoint),
+            &tgds,
+            ChaseVariant::Oblivious,
+            ChaseBudget::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, CheckpointError::ContextMismatch("chase variant"));
     }
 
     #[test]
@@ -1811,7 +1819,7 @@ mod tests {
         let mut s = Schema::default();
         let tgds = parse_tgds(&mut s, "E(x,y) -> E(y,x).").unwrap();
         let start = parse_instance(&mut s, "E(a,b)").unwrap();
-        let (result, checkpoint) = chase_checkpointing(
+        let (result, checkpoint) = checkpointing(
             &start,
             &tgds,
             ChaseVariant::Restricted,

@@ -5,8 +5,8 @@
 //! group boundary, so the suspended state is small and fully logical: the
 //! instance arena, the semi-naive frontier, the round counter, and the
 //! stats so far. [`ChaseCheckpoint`] and [`BatchCheckpoint`] capture that
-//! state; [`crate::chase_resume`] / [`crate::entails_batch_resume`]
-//! continue a run such that *trip → checkpoint → resume* is byte-identical
+//! state; [`crate::chase_from`] / [`crate::entails_batch`] started from
+//! a checkpoint continue a run such that *trip → checkpoint → resume* is byte-identical
 //! to an uninterrupted run (property-tested in
 //! `tests/proptest_checkpoint.rs`).
 //!
@@ -44,7 +44,7 @@
 use crate::cache::EntailBatchStats;
 use crate::chase::{ChaseBudget, ChaseVariant};
 use crate::entail::Entailment;
-use crate::govern::CancelToken;
+use crate::govern::Run;
 use crate::stats::ChaseStats;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -201,16 +201,16 @@ pub fn open_at(
     Ok(&body[HEADER..])
 }
 
-/// [`open`] under a [`CancelToken`]: consults
+/// [`open`] for a checkpoint decoded under a [`Run`]: consults
 /// [`FaultSite::CheckpointCorrupt`](crate::FaultSite::CheckpointCorrupt)
-/// first, so fault schedules can exercise the corruption path without
-/// hand-flipping bytes.
-pub fn open_governed<'a>(
+/// on `run.token` first, so fault schedules can exercise the corruption
+/// path without hand-flipping bytes.
+pub fn open_checkpoint<'a>(
+    run: &Run,
     bytes: &'a [u8],
     expected_kind: u8,
-    token: &CancelToken,
 ) -> Result<&'a [u8], CheckpointError> {
-    if token.fault(crate::FaultSite::CheckpointCorrupt) {
+    if run.token.fault(crate::FaultSite::CheckpointCorrupt) {
         return Err(CheckpointError::ChecksumMismatch {
             offset: 0,
             kind: bytes.get(6).copied().unwrap_or(0),
@@ -576,9 +576,9 @@ pub fn read_facts(
     Ok(out)
 }
 
-/// A suspended chase run, captured at a round boundary. Produced by
-/// [`crate::chase_checkpointing`] / [`crate::chase_resume`] whenever a
-/// governed run stops short of a fixpoint on a resumable boundary.
+/// A suspended chase run, captured at a round boundary. Produced by a
+/// checkpointing [`crate::chase_from`] or [`crate::chase_extend`] whenever a
+/// run stops short of a fixpoint on a resumable boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaseCheckpoint {
     pub(crate) variant: ChaseVariant,
@@ -654,20 +654,14 @@ impl ChaseCheckpoint {
     /// Decodes a sealed frame produced by [`ChaseCheckpoint::encode`],
     /// verifying the checksum first and validating every field against
     /// `schema`. Never panics; every failure is a typed
-    /// [`CheckpointError`].
-    pub fn decode(bytes: &[u8], schema: &Schema) -> Result<ChaseCheckpoint, CheckpointError> {
-        Self::decode_payload(open(bytes, KIND_CHASE)?, schema)
-    }
-
-    /// [`ChaseCheckpoint::decode`] with
-    /// [`FaultSite::CheckpointCorrupt`](crate::FaultSite::CheckpointCorrupt)
-    /// injection via `token`.
-    pub fn decode_governed(
+    /// [`CheckpointError`]. `run.token`'s fault plan may inject
+    /// [`FaultSite::CheckpointCorrupt`](crate::FaultSite::CheckpointCorrupt).
+    pub fn decode(
+        run: &Run,
         bytes: &[u8],
         schema: &Schema,
-        token: &CancelToken,
     ) -> Result<ChaseCheckpoint, CheckpointError> {
-        Self::decode_payload(open_governed(bytes, KIND_CHASE, token)?, schema)
+        Self::decode_payload(open_checkpoint(run, bytes, KIND_CHASE)?, schema)
     }
 
     fn decode_payload(payload: &[u8], schema: &Schema) -> Result<ChaseCheckpoint, CheckpointError> {
@@ -732,10 +726,14 @@ impl ChaseCheckpoint {
 /// A suspended [`crate::entails_batch`] run, captured at a body-group
 /// boundary: which groups are settled, the per-candidate verdict slots,
 /// the stats so far, and whether the run was taint-gated
-/// ([`CancelToken::is_tainted`]) when it suspended.
+/// ([`crate::CancelToken::is_tainted`]) when it suspended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchCheckpoint {
-    pub(crate) sigma_fp: u64,
+    /// Fingerprint of the resume context: the tgd set's cache fingerprint
+    /// and the ordered candidate list. (Frames written before the
+    /// candidate list was bound hold the bare tgd-set fingerprint here, so
+    /// they fail resume with a typed context mismatch.)
+    pub(crate) context_fp: u64,
     pub(crate) budget: ChaseBudget,
     pub(crate) done: Vec<bool>,
     pub(crate) verdicts: Vec<Entailment>,
@@ -757,7 +755,7 @@ impl BatchCheckpoint {
     /// Serializes to a sealed frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = CheckpointWriter::new();
-        w.u64(self.sigma_fp);
+        w.u64(self.context_fp);
         w.count(self.budget.max_facts);
         w.count(self.budget.max_rounds);
         w.count(self.budget.max_bytes);
@@ -775,23 +773,15 @@ impl BatchCheckpoint {
     }
 
     /// Decodes a sealed frame produced by [`BatchCheckpoint::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<BatchCheckpoint, CheckpointError> {
-        Self::decode_payload(open(bytes, KIND_BATCH)?)
-    }
-
-    /// [`BatchCheckpoint::decode`] with
-    /// [`FaultSite::CheckpointCorrupt`](crate::FaultSite::CheckpointCorrupt)
-    /// injection via `token`.
-    pub fn decode_governed(
-        bytes: &[u8],
-        token: &CancelToken,
-    ) -> Result<BatchCheckpoint, CheckpointError> {
-        Self::decode_payload(open_governed(bytes, KIND_BATCH, token)?)
+    /// `run.token`'s fault plan may inject
+    /// [`FaultSite::CheckpointCorrupt`](crate::FaultSite::CheckpointCorrupt).
+    pub fn decode(run: &Run, bytes: &[u8]) -> Result<BatchCheckpoint, CheckpointError> {
+        Self::decode_payload(open_checkpoint(run, bytes, KIND_BATCH)?)
     }
 
     fn decode_payload(payload: &[u8]) -> Result<BatchCheckpoint, CheckpointError> {
         let mut r = CheckpointReader::new(payload);
-        let sigma_fp = r.u64()?;
+        let context_fp = r.u64()?;
         let budget = ChaseBudget {
             max_facts: r.u64()? as usize,
             max_rounds: r.u64()? as usize,
@@ -821,7 +811,7 @@ impl BatchCheckpoint {
             return Err(CheckpointError::Malformed("trailing bytes"));
         }
         Ok(BatchCheckpoint {
-            sigma_fp,
+            context_fp,
             budget,
             done,
             verdicts,
@@ -911,11 +901,14 @@ mod tests {
     #[test]
     fn injected_corruption_surfaces_as_checksum_mismatch() {
         let frame = seal(KIND_CHASE, &[1u8]);
-        let token = CancelToken::with_faults(crate::faults::FaultPlan::always(
-            crate::FaultSite::CheckpointCorrupt,
-        ));
+        let run = Run {
+            token: crate::CancelToken::with_faults(crate::faults::FaultPlan::always(
+                crate::FaultSite::CheckpointCorrupt,
+            )),
+            ..Run::default()
+        };
         assert_eq!(
-            open_governed(&frame, KIND_CHASE, &token),
+            open_checkpoint(&run, &frame, KIND_CHASE),
             Err(CheckpointError::ChecksumMismatch {
                 offset: 0,
                 kind: KIND_CHASE
@@ -929,7 +922,7 @@ mod tests {
     #[test]
     fn batch_checkpoint_round_trips() {
         let cp = BatchCheckpoint {
-            sigma_fp: 0xDEAD_BEEF,
+            context_fp: 0xDEAD_BEEF,
             budget: ChaseBudget::default(),
             done: vec![true, false, true],
             verdicts: vec![
@@ -953,7 +946,7 @@ mod tests {
             },
             cache_tainted: true,
         };
-        let decoded = BatchCheckpoint::decode(&cp.encode()).unwrap();
+        let decoded = BatchCheckpoint::decode(&Run::default(), &cp.encode()).unwrap();
         assert_eq!(decoded, cp);
     }
 }

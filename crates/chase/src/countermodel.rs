@@ -16,7 +16,7 @@
 //! chase-for-`Proved` + search-for-`Disproved` decides guarded entailment.
 
 use crate::entail::{freeze_body, Entailment};
-use crate::govern::CancelToken;
+use crate::govern::{CancelToken, Run};
 use crate::satisfy::violation;
 use std::collections::BTreeSet;
 use tgdkit_hom::{Binding, Cq};
@@ -173,34 +173,27 @@ fn dfs(
 ///
 /// ```
 /// use tgdkit_logic::{parse_tgd, parse_tgds, Schema};
-/// use tgdkit_chase::{refute_by_countermodel, Entailment, SearchBudget};
+/// use tgdkit_chase::{refute_by_countermodel, Entailment, Run, SearchBudget};
 /// let mut schema = Schema::default();
 /// // Chase diverges; the 1-element loop model refutes the candidate.
 /// let sigma = parse_tgds(&mut schema, "E(x,y) -> exists z : E(y,z).").unwrap();
 /// let wrong = parse_tgd(&mut schema, "E(x,y) -> E(y,y)").unwrap();
 /// assert_eq!(
-///     refute_by_countermodel(&schema, &sigma, &wrong, &SearchBudget::default()),
+///     refute_by_countermodel(&Run::default(), &schema, &sigma, &wrong, &SearchBudget::default()),
 ///     Entailment::Disproved
 /// );
 /// ```
+///
+/// The DFS checks `run.token` periodically and abandons the search
+/// (`Unknown`) when cancelled.
 pub fn refute_by_countermodel(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     candidate: &Tgd,
     budget: &SearchBudget,
 ) -> Entailment {
-    refute_by_countermodel_governed(schema, sigma, candidate, budget, &CancelToken::new())
-}
-
-/// [`refute_by_countermodel`] under a [`CancelToken`]: the DFS checks the
-/// token periodically and abandons the search (`Unknown`) when cancelled.
-pub fn refute_by_countermodel_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: &SearchBudget,
-    token: &CancelToken,
-) -> Entailment {
+    let token = &run.token;
     let frozen = freeze_body(schema, candidate);
     let head_cq = Cq::boolean(candidate.head().to_vec());
     let mut fixed: Binding = vec![None; candidate.var_count()];
@@ -301,6 +294,17 @@ fn dfs_unforbidden(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`refute_by_countermodel`] under a default run and search budget.
+    fn refute(schema: &Schema, sigma: &[Tgd], candidate: &Tgd) -> Entailment {
+        refute_by_countermodel(
+            &Run::default(),
+            schema,
+            sigma,
+            candidate,
+            &SearchBudget::default(),
+        )
+    }
     use crate::entail::entails;
     use crate::satisfy::satisfies_tgds;
     use crate::ChaseBudget;
@@ -327,10 +331,7 @@ mod tests {
             Entailment::Unknown
         );
         // ... but a tiny loop model refutes.
-        assert_eq!(
-            refute_by_countermodel(&s, &sigma, &candidate, &SearchBudget::default()),
-            Entailment::Disproved
-        );
+        assert_eq!(refute(&s, &sigma, &candidate), Entailment::Disproved);
     }
 
     #[test]
@@ -338,10 +339,7 @@ mod tests {
         let mut s = Schema::default();
         let sigma = parse_tgds(&mut s, "E(x,y) -> exists z : E(y,z).").unwrap();
         let entailed = parse_tgd(&mut s, "E(x,y) -> exists z, w : E(y,z), E(z,w)").unwrap();
-        assert_eq!(
-            refute_by_countermodel(&s, &sigma, &entailed, &SearchBudget::default()),
-            Entailment::Unknown
-        );
+        assert_eq!(refute(&s, &sigma, &entailed), Entailment::Unknown);
     }
 
     #[test]
@@ -392,9 +390,6 @@ mod tests {
             entails(&s, &sigma, &candidate, ChaseBudget::default()),
             Entailment::Disproved
         );
-        assert_eq!(
-            refute_by_countermodel(&s, &sigma, &candidate, &SearchBudget::default()),
-            Entailment::Disproved
-        );
+        assert_eq!(refute(&s, &sigma, &candidate), Entailment::Disproved);
     }
 }

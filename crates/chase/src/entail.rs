@@ -2,12 +2,13 @@
 //! (Maier–Mendelzon–Sagiv \[13\]; paper §9.2 uses exactly this reduction to
 //! conjunctive query answering).
 
-use crate::chase::{chase_governed, ChaseBudget, ChaseOutcome, ChaseVariant};
-use crate::govern::CancelToken;
+use crate::cache::sigma_fingerprint;
+use crate::chase::{chase_fresh, ChaseBudget, ChaseOutcome, ChaseVariant};
+use crate::govern::Run;
 use crate::stats::ChaseStats;
 use tgdkit_hom::{Binding, Cq};
 use tgdkit_instance::{Elem, Instance};
-use tgdkit_logic::{Edd, EddDisjunct, Egd, Schema, Tgd};
+use tgdkit_logic::{tgd_variant_key, Edd, EddDisjunct, Egd, Schema, Tgd};
 
 /// A three-valued entailment verdict.
 ///
@@ -78,34 +79,27 @@ pub fn freeze_body(schema: &Schema, tgd: &Tgd) -> Instance {
 /// assert_eq!(entails(&schema, &sigma, &wrong, ChaseBudget::default()), Entailment::Disproved);
 /// ```
 pub fn entails(schema: &Schema, sigma: &[Tgd], candidate: &Tgd, budget: ChaseBudget) -> Entailment {
-    entails_with_stats(schema, sigma, candidate, budget).0
+    entails_by_chase(&Run::default(), schema, sigma, candidate, budget).0
 }
 
-/// As [`entails`], additionally reporting the inner chase's [`ChaseStats`]
-/// (so callers sweeping many candidates can aggregate engine work).
-pub fn entails_with_stats(
+/// The chase-based decision behind [`entails`], under a [`Run`] context,
+/// also reporting the inner chase's [`ChaseStats`] (so callers sweeping
+/// many candidates can aggregate engine work).
+///
+/// The inner chase stops within one round of cancellation of `run.token`.
+/// A cancelled chase can still settle `Proved` (the partial chase is a
+/// sound set of consequences); `Disproved` requires a terminated chase,
+/// which a cancelled run never reports — so cancellation degrades to
+/// `Unknown`, never inverts a verdict.
+pub fn entails_by_chase(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     candidate: &Tgd,
     budget: ChaseBudget,
-) -> (Entailment, ChaseStats) {
-    entails_with_stats_governed(schema, sigma, candidate, budget, &CancelToken::new())
-}
-
-/// [`entails_with_stats`] under a [`CancelToken`]: the inner chase stops
-/// within one round of cancellation. A cancelled chase can still settle
-/// `Proved` (the partial chase is a sound set of consequences); `Disproved`
-/// requires a terminated chase, which a cancelled run never reports — so
-/// cancellation degrades to `Unknown`, never inverts a verdict.
-pub fn entails_with_stats_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: ChaseBudget,
-    token: &CancelToken,
 ) -> (Entailment, ChaseStats) {
     let frozen = freeze_body(schema, candidate);
-    let result = chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
+    let result = chase_fresh(run, &frozen, sigma, ChaseVariant::Restricted, budget);
     let head_cq = Cq::boolean(candidate.head().to_vec());
     let mut fixed: Binding = vec![None; candidate.var_count()];
     for (v, slot) in fixed
@@ -140,12 +134,12 @@ pub fn entails_egd(schema: &Schema, sigma: &[Tgd], egd: &Egd, budget: ChaseBudge
         let args: Vec<Elem> = atom.args.iter().map(|v| Elem(v.0)).collect();
         frozen.add_fact(atom.pred, args);
     }
-    let result = chase_governed(
+    let result = chase_fresh(
+        &Run::default(),
         &frozen,
         sigma,
         ChaseVariant::Restricted,
         budget,
-        &CancelToken::new(),
     );
     if result.outcome == ChaseOutcome::Terminated {
         // The chase result is a model of Σ in which the frozen body holds
@@ -174,39 +168,31 @@ pub fn entails_egd(schema: &Schema, sigma: &[Tgd], egd: &Egd, budget: ChaseBudge
 ///
 /// This makes the paper's Step 1 (`Σ^∨ = {δ ∈ E_{n,m} | O ⊨ δ}`) exactly
 /// computable for TGD-ontologies.
+///
+/// Under a cancelled `run.token` the chase still proves satisfied
+/// disjuncts soundly, and lands `Unknown` (never `Disproved`) when no
+/// disjunct holds, since the non-terminated result is not a countermodel.
+/// Returns the chase's [`ChaseStats`] alongside the verdict.
 pub fn entails_edd_under_tgds(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     edd: &Edd,
     budget: ChaseBudget,
-) -> Entailment {
-    entails_edd_under_tgds_governed(schema, sigma, edd, budget, &CancelToken::new())
-}
-
-/// [`entails_edd_under_tgds`] under a [`CancelToken`]: a cancelled chase
-/// still proves satisfied disjuncts soundly, and lands `Unknown` (never
-/// `Disproved`) when no disjunct holds, since the non-terminated result is
-/// not a countermodel.
-pub fn entails_edd_under_tgds_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    edd: &Edd,
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> Entailment {
+) -> (Entailment, ChaseStats) {
     // Trivial equality disjunct ⇒ tautology.
     if edd
         .disjuncts()
         .iter()
         .any(|d| matches!(d, EddDisjunct::Eq(a, b) if a == b))
     {
-        return Entailment::Proved;
+        return (Entailment::Proved, ChaseStats::default());
     }
     let mut frozen = Instance::new(schema.clone());
     for atom in edd.body() {
         frozen.add_fact(atom.pred, atom.args.iter().map(|v| Elem(v.0)).collect());
     }
-    let result = chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
+    let result = chase_fresh(run, &frozen, sigma, ChaseVariant::Restricted, budget);
     let n = edd.universal_count();
     for disjunct in edd.disjuncts() {
         if let EddDisjunct::Exists(atoms) = disjunct {
@@ -216,17 +202,18 @@ pub fn entails_edd_under_tgds_governed(
                 *slot = Some(Elem(v as u32));
             }
             if cq.holds_with(&result.instance, &fixed) {
-                return Entailment::Proved;
+                return (Entailment::Proved, result.stats);
             }
         }
         // Non-trivial equality disjuncts never hold on the frozen distinct
         // elements (tgd chases do not merge).
     }
-    if result.outcome == ChaseOutcome::Terminated {
+    let verdict = if result.outcome == ChaseOutcome::Terminated {
         Entailment::Disproved
     } else {
         Entailment::Unknown
-    }
+    };
+    (verdict, result.stats)
 }
 
 /// Dispatching entailment, combining every decision procedure in the
@@ -234,92 +221,119 @@ pub fn entails_edd_under_tgds_governed(
 ///
 /// 1. for all-linear `sigma`, the exact backward-rewriting procedure
 ///    ([`crate::linear::entails_linear`]) — total in practice;
-/// 2. the budgeted chase ([`entails`]) — sound `Proved`, terminating
-///    `Disproved`;
+/// 2. the budgeted chase ([`entails_by_chase`]) — sound `Proved`,
+///    terminating `Disproved`;
 /// 3. on a chase `Unknown`, finite countermodel search
 ///    ([`crate::countermodel::refute_by_countermodel`]) — definitive
 ///    `Disproved` when a small countermodel exists (always, for guarded
 ///    sets with a large enough budget, by the finite model property).
+///
+/// Every stage observes `run.token` and degrades to `Unknown` when cut
+/// off. With `run.cache`, the verdict is looked up and memoized there
+/// (renaming-invariant key, see [`crate::EntailCache`]); an `Unknown`
+/// reached under a tainted token ([`crate::CancelToken::is_tainted`]) is
+/// returned but not stored. The returned [`ChaseStats`] aggregate the
+/// saturation and chase work, plus the cache hit or miss.
 pub fn entails_auto(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     candidate: &Tgd,
     budget: ChaseBudget,
-) -> Entailment {
-    entails_auto_governed(schema, sigma, candidate, budget, &CancelToken::new())
+) -> (Entailment, ChaseStats) {
+    let Some(cache) = run.cache else {
+        return entails_auto_uncached(run, schema, sigma, candidate, budget);
+    };
+    let (key, fingerprint) = (tgd_variant_key(candidate), sigma_fingerprint(sigma));
+    if let Some(v) = cache.lookup_key(&key, fingerprint, budget) {
+        let stats = ChaseStats {
+            cache_hits: 1,
+            ..ChaseStats::default()
+        };
+        return (v, stats);
+    }
+    let (v, mut stats) = entails_auto_uncached(run, schema, sigma, candidate, budget);
+    stats.cache_misses += 1;
+    if v != Entailment::Unknown || !run.token.is_tainted() {
+        cache.store_key(&key, fingerprint, budget, v);
+    }
+    (v, stats)
 }
 
-/// [`entails_auto`] under a [`CancelToken`]: every stage (linear
-/// saturation, chase, countermodel search) observes the token and degrades
-/// to `Unknown` when cut off.
-pub fn entails_auto_governed(
+fn entails_auto_uncached(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     candidate: &Tgd,
     budget: ChaseBudget,
-    token: &CancelToken,
-) -> Entailment {
+) -> (Entailment, ChaseStats) {
+    let mut stats = ChaseStats::default();
     if !sigma.is_empty() && sigma.iter().all(Tgd::is_linear) {
         // Saturation cap proportional to the chase budget's appetite.
-        let verdict = crate::linear::entails_linear_governed(
+        let (verdict, saturation) = crate::linear::entails_linear(
+            run,
             schema,
             sigma,
             candidate,
             budget.max_facts.max(10_000),
-            token,
         );
+        stats.absorb(&saturation);
         if verdict != Entailment::Unknown {
-            return verdict;
+            return (verdict, stats);
         }
     }
-    match entails_with_stats_governed(schema, sigma, candidate, budget, token).0 {
-        Entailment::Unknown if token.is_cancelled() => Entailment::Unknown,
-        Entailment::Unknown => crate::countermodel::refute_by_countermodel_governed(
+    let (verdict, chase) = entails_by_chase(run, schema, sigma, candidate, budget);
+    stats.absorb(&chase);
+    let verdict = match verdict {
+        Entailment::Unknown if run.token.is_cancelled() => Entailment::Unknown,
+        Entailment::Unknown => crate::countermodel::refute_by_countermodel(
+            run,
             schema,
             sigma,
             candidate,
             &crate::countermodel::SearchBudget::default(),
-            token,
         ),
         verdict => verdict,
-    }
+    };
+    (verdict, stats)
 }
 
-/// `Σ ⊨ Σ'` for sets of tgds (three-valued conjunction over the members).
+/// `Σ ⊨ Σ'` for sets of tgds: the three-valued conjunction of
+/// [`entails_auto`] over the members, with an early exit on `Disproved`.
+///
+/// A cancellation of `run.token` observed between members degrades the
+/// conjunction to `Unknown` (never a false `Proved` from an unfinished
+/// sweep) unless some member already disproved it. `run.cache` is used
+/// for every member. The returned [`ChaseStats`] aggregate the members'.
 pub fn entails_all(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     candidates: &[Tgd],
     budget: ChaseBudget,
-) -> Entailment {
-    entails_all_governed(schema, sigma, candidates, budget, &CancelToken::new())
-}
-
-/// [`entails_all`] under a [`CancelToken`]: members not reached before
-/// cancellation contribute `Unknown` to the conjunction.
-pub fn entails_all_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> Entailment {
+) -> (Entailment, ChaseStats) {
     let mut acc = Entailment::Proved;
+    let mut stats = ChaseStats::default();
     for c in candidates {
-        if token.is_cancelled() {
-            return acc.and(Entailment::Unknown);
+        if run.token.is_cancelled() {
+            return (acc.and(Entailment::Unknown), stats);
         }
-        acc = acc.and(entails_auto_governed(schema, sigma, c, budget, token));
+        let (verdict, member) = entails_auto(run, schema, sigma, c, budget);
+        stats.absorb(&member);
+        acc = acc.and(verdict);
         if acc == Entailment::Disproved {
-            return acc;
+            break;
         }
     }
-    acc
+    (acc, stats)
 }
 
 /// Logical equivalence `Σ ≡ Σ'` of two sets of tgds.
 pub fn equivalent(schema: &Schema, a: &[Tgd], b: &[Tgd], budget: ChaseBudget) -> Entailment {
-    entails_all(schema, a, b, budget).and(entails_all(schema, b, a, budget))
+    let run = Run::default();
+    let (ab, _) = entails_all(&run, schema, a, b, budget);
+    let (ba, _) = entails_all(&run, schema, b, a, budget);
+    ab.and(ba)
 }
 
 #[cfg(test)]
@@ -453,7 +467,7 @@ mod tests {
             other => panic!("expected edd, got {other:?}"),
         };
         assert_eq!(
-            entails_edd_under_tgds(&s, &sigma, &edd, ChaseBudget::default()),
+            entails_edd_under_tgds(&Run::default(), &s, &sigma, &edd, ChaseBudget::default()).0,
             Entailment::Proved
         );
         // Q(x) -> P(x) | R(x) is not.
@@ -463,7 +477,7 @@ mod tests {
             other => panic!("expected edd, got {other:?}"),
         };
         assert_eq!(
-            entails_edd_under_tgds(&s, &sigma, &edd2, ChaseBudget::default()),
+            entails_edd_under_tgds(&Run::default(), &s, &sigma, &edd2, ChaseBudget::default()).0,
             Entailment::Disproved
         );
         // Equality disjuncts are never satisfied by tgd chases: the dd
@@ -475,11 +489,11 @@ mod tests {
             other => panic!("expected edd, got {other:?}"),
         };
         assert_eq!(
-            entails_edd_under_tgds(&s, &sigma2, &edd3, ChaseBudget::default()),
+            entails_edd_under_tgds(&Run::default(), &s, &sigma2, &edd3, ChaseBudget::default()).0,
             Entailment::Proved
         );
         assert_eq!(
-            entails_edd_under_tgds(&s, &[], &edd3, ChaseBudget::default()),
+            entails_edd_under_tgds(&Run::default(), &s, &[], &edd3, ChaseBudget::default()).0,
             Entailment::Disproved
         );
         // Trivial equality: tautology even under the empty set.
@@ -489,7 +503,7 @@ mod tests {
             other => panic!("expected edd, got {other:?}"),
         };
         assert_eq!(
-            entails_edd_under_tgds(&s, &[], &edd4, ChaseBudget::default()),
+            entails_edd_under_tgds(&Run::default(), &s, &[], &edd4, ChaseBudget::default()).0,
             Entailment::Proved
         );
     }

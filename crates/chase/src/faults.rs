@@ -53,8 +53,9 @@ pub enum FaultSite {
     /// ([`CancelToken::masking_fault`](crate::CancelToken::masking_fault));
     /// an unrecoverable in-chase trip is [`FaultSite::BudgetTrip`]'s job.
     MemBudgetTrip = 4,
-    /// Simulated checkpoint corruption at decode time: the governed
-    /// decoders report a checksum mismatch as if the payload had rotted.
+    /// Simulated checkpoint corruption at decode time: checkpoint
+    /// decoders (through their `Run`) report a checksum mismatch as if the
+    /// payload had rotted.
     /// Exercises the typed-error path without hand-flipping bytes.
     CheckpointCorrupt = 5,
     /// Torn write at a durable-store WAL append (`tgdkit-store`): only a

@@ -28,6 +28,7 @@
 //! [`crate::faults`]) which deterministically injects worker panics, budget
 //! trips, and deadline expiries at the same cooperative check sites.
 
+use crate::cache::EntailCache;
 use crate::faults::{FaultPlan, FaultSite};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -43,8 +44,8 @@ struct TokenState {
     faults: Option<FaultPlan>,
     /// Latched by [`CancelToken::request_suspend`], a quantum expiry, or
     /// the countdown below. Unlike `cancelled`, suspension is *recoverable*:
-    /// the checkpointing entry points stop at their next resumable boundary
-    /// and hand back a checkpoint instead of degrading verdicts.
+    /// a checkpointing [`Run`] stops at its next resumable boundary and
+    /// hands back a checkpoint instead of degrading verdicts.
     suspend: AtomicBool,
     /// Wall-clock quantum: once it has elapsed, `should_suspend` latches
     /// the suspend flag. Armed *lazily* — the countdown starts at the
@@ -83,7 +84,7 @@ impl Default for TokenState {
 /// caller can keep one clone and hand another to a long-running call:
 ///
 /// ```
-/// use tgdkit_chase::{chase_governed, CancelToken, ChaseBudget, ChaseVariant};
+/// use tgdkit_chase::{chase_from, CancelToken, ChaseBudget, ChaseStart, ChaseVariant, Run};
 /// use tgdkit_instance::parse_instance;
 /// use tgdkit_logic::{parse_tgds, Schema};
 /// let mut schema = Schema::default();
@@ -91,13 +92,15 @@ impl Default for TokenState {
 /// let start = parse_instance(&mut schema, "E(a,b)").unwrap();
 /// let token = CancelToken::new();
 /// token.cancel(); // e.g. from another thread
-/// let result = chase_governed(
-///     &start,
+/// let run = Run { token: token.clone(), ..Run::default() };
+/// let (result, _) = chase_from(
+///     &run,
+///     ChaseStart::Fresh(&start),
 ///     &tgds,
 ///     ChaseVariant::Restricted,
 ///     ChaseBudget::default(),
-///     &token,
-/// );
+/// )
+/// .unwrap();
 /// assert!(result.cancelled());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -111,7 +114,7 @@ pub struct CancelToken {
 impl CancelToken {
     /// A token that never cancels on its own (no deadline, no faults);
     /// [`CancelToken::cancel`] can still be called explicitly. This is what
-    /// the ungoverned entry points (`chase`, `entails`, …) run with.
+    /// [`Run::default`] carries.
     pub fn new() -> Self {
         Self::default()
     }
@@ -133,10 +136,10 @@ impl CancelToken {
     }
 
     /// A token carrying a scheduling *quantum*: once `quantum` has elapsed,
-    /// [`CancelToken::should_suspend`] reports `true` and the checkpointing
-    /// entry points suspend at their next resumable boundary (body group or
-    /// chase round) with a checkpoint — verdicts already decided stay exact
-    /// and the run continues via the matching `*_resume` entry point.
+    /// [`CancelToken::should_suspend`] reports `true` and a checkpointing
+    /// [`Run`] suspends at its next resumable boundary (body group or chase
+    /// round) with a checkpoint — verdicts already decided stay exact and
+    /// the run continues when the same operation is started from it.
     ///
     /// Unlike [`CancelToken::with_deadline`], quantum expiry neither
     /// cancels nor taints the token: suspension is an OS-scheduler-style
@@ -210,10 +213,9 @@ impl CancelToken {
         self.state.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Requests suspension: the checkpointing entry points stop at their
-    /// next resumable boundary and return a checkpoint. Every clone of
-    /// this token observes it. A no-op for the non-checkpointing entry
-    /// points, which have no resumable boundaries to stop at.
+    /// Requests suspension: a checkpointing [`Run`] stops at its next
+    /// resumable boundary and returns a checkpoint. Every clone of this
+    /// token observes it.
     pub fn request_suspend(&self) {
         self.state.suspend.store(true, Ordering::Relaxed);
     }
@@ -300,6 +302,54 @@ impl CancelToken {
     /// cross-run caches keyed only by budget.
     pub fn is_tainted(&self) -> bool {
         self.has_faults() || self.is_cancelled()
+    }
+}
+
+/// The context every long-running operation takes: one entry point per
+/// operation (`chase_from`, `chase_extend`, `entails_batch`, the rewrite
+/// procedures, …) reads its governance and sharing choices from here
+/// instead of from a family of suffixed variants.
+///
+/// `Run::default()` is a fresh [`CancelToken`], no shared cache, one shard
+/// and no checkpoint capture; it reads no environment variable. Build a
+/// different context with struct-update syntax:
+///
+/// ```
+/// use tgdkit_chase::{EntailCache, Run};
+/// let cache = EntailCache::new();
+/// let run = Run { cache: Some(&cache), checkpoint: true, ..Run::default() };
+/// assert_eq!(run.shards, 1);
+/// ```
+///
+/// The memory budget is not part of the context: every run derives its
+/// [`crate::MemoryAccountant`] from the operation's
+/// [`crate::ChaseBudget::max_bytes`].
+#[derive(Debug, Clone)]
+pub struct Run<'a> {
+    /// Cancellation, deadline, suspension quantum and (test-only) fault
+    /// plan, checked at every cooperative boundary.
+    pub token: CancelToken,
+    /// An entailment cache shared across calls. `None` keeps each call to
+    /// itself: the rewrite procedures then use a fresh per-call cache, and
+    /// the single-check and batch entry points use none.
+    pub cache: Option<&'a EntailCache>,
+    /// Shard count of the chase store (clamped to at least 1). The result
+    /// is byte-identical at any count. A resumed chase keeps the shard
+    /// count recorded in its checkpoint.
+    pub shards: usize,
+    /// Capture a checkpoint when the run stops short on a resumable
+    /// boundary. Without it no instance is ever cloned for a checkpoint.
+    pub checkpoint: bool,
+}
+
+impl Default for Run<'_> {
+    fn default() -> Self {
+        Run {
+            token: CancelToken::new(),
+            cache: None,
+            shards: 1,
+            checkpoint: false,
+        }
     }
 }
 

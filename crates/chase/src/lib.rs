@@ -40,33 +40,24 @@ pub mod termination;
 pub mod universal;
 
 pub use cache::{
-    entails_all_cached, entails_all_cached_governed, entails_auto_cached,
-    entails_auto_cached_governed, entails_batch, entails_batch_checkpointing,
-    entails_batch_governed, entails_batch_resume, evaluate_group, group_by_body,
-    group_by_body_keyed, sigma_fingerprint, BatchRun, BodyGroup, EntailBatchStats, EntailCache,
-    DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES,
+    entails_all_cached, entails_batch, evaluate_group, group_by_body, group_by_body_keyed,
+    sigma_fingerprint, BatchRun, BodyGroup, EntailBatchStats, EntailCache, DEFAULT_CACHE_MAX_BYTES,
+    DEFAULT_CACHE_MAX_ENTRIES,
 };
 pub use certain::{certain_answers, certainly_holds, CertainAnswers};
 pub use chase::{
-    chase, chase_checkpointing, chase_extend, chase_extend_governed, chase_governed, chase_resume,
-    chase_sharded, chase_sharded_checkpointing, chase_sharded_governed, chase_with_provenance,
-    core_chase, ChaseBudget, ChaseOutcome, ChaseResult, ChaseVariant, DerivationStep, Provenance,
+    chase, chase_extend, chase_from, chase_with_provenance, core_chase, ChaseBudget, ChaseOutcome,
+    ChaseResult, ChaseStart, ChaseVariant, DerivationStep, Provenance,
 };
 pub use checkpoint::{tgds_fingerprint, BatchCheckpoint, ChaseCheckpoint, CheckpointError};
-pub use countermodel::{
-    finite_model, refute_by_countermodel, refute_by_countermodel_governed, SearchBudget,
-};
+pub use countermodel::{finite_model, refute_by_countermodel, SearchBudget};
 pub use entail::{
-    entails, entails_all, entails_all_governed, entails_auto, entails_auto_governed,
-    entails_edd_under_tgds, entails_edd_under_tgds_governed, entails_with_stats,
-    entails_with_stats_governed, equivalent, Entailment,
+    entails, entails_all, entails_auto, entails_by_chase, entails_edd_under_tgds, equivalent,
+    Entailment,
 };
 pub use faults::{FaultPlan, FaultSite, FAULT_SITES};
-pub use govern::CancelToken;
-pub use linear::{
-    certainly_holds_by_rewriting, certainly_holds_by_rewriting_with_stats, entails_linear,
-    entails_linear_governed, entails_linear_with_stats,
-};
+pub use govern::{CancelToken, Run};
+pub use linear::{certainly_holds_by_rewriting, entails_linear};
 pub use memory::MemoryAccountant;
 pub use satisfy::{satisfies_edd, satisfies_egd, satisfies_tgd, satisfies_tgds, violation};
 pub use shard::{reset_shard_stats, shard_stats, shards_from_env, ShardStats};

@@ -21,7 +21,7 @@
 //! candidate sizes of Algorithms 1–2).
 
 use crate::entail::Entailment;
-use crate::govern::CancelToken;
+use crate::govern::{CancelToken, Run};
 use crate::stats::ChaseStats;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -400,65 +400,38 @@ fn rewritings_into(query: &Query, rule: &Tgd, out: &mut Vec<Query>) {
 
 /// Decides `Σ ⊨ σ` for a set of **linear** tgds by saturating the backward
 /// rewriting of `σ`'s head and matching each rewriting against the frozen
-/// body.
+/// body, reporting saturation statistics (see [`saturate`] for how the
+/// chase vocabulary maps onto rewriting).
 ///
 /// Always terminates up to the saturation cap (`max_queries`); the
-/// procedure is exact: `Proved`/`Disproved` are definitive.
+/// procedure is exact: `Proved`/`Disproved` are definitive. The saturation
+/// loop checks `run.token` periodically and reports `Unknown` when
+/// cancelled (sound — the saturation was simply not finished).
 ///
 /// ```
 /// use tgdkit_logic::{parse_tgd, parse_tgds, Schema};
-/// use tgdkit_chase::{entails_linear, Entailment};
+/// use tgdkit_chase::{entails_linear, Entailment, Run};
 /// let mut schema = Schema::default();
+/// let run = Run::default();
 /// // The chase of this set diverges, but the rewriting decides instantly.
 /// let sigma = parse_tgds(&mut schema, "E(x,y) -> exists z : E(y,z).").unwrap();
 /// let two_steps = parse_tgd(&mut schema, "E(x,y) -> exists z, w : E(y,z), E(z,w)").unwrap();
-/// assert_eq!(entails_linear(&schema, &sigma, &two_steps, 10_000), Entailment::Proved);
+/// let (verdict, _stats) = entails_linear(&run, &schema, &sigma, &two_steps, 10_000);
+/// assert_eq!(verdict, Entailment::Proved);
 /// let wrong = parse_tgd(&mut schema, "E(x,y) -> exists z : E(z,x)").unwrap();
-/// assert_eq!(entails_linear(&schema, &sigma, &wrong, 10_000), Entailment::Disproved);
+/// assert_eq!(entails_linear(&run, &schema, &sigma, &wrong, 10_000).0, Entailment::Disproved);
 /// ```
 ///
 /// # Panics
 /// Panics if some tgd of `sigma` is not linear.
 pub fn entails_linear(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    max_queries: usize,
-) -> Entailment {
-    entails_linear_with_stats(schema, sigma, candidate, max_queries).0
-}
-
-/// [`entails_linear`] under a [`CancelToken`]: the saturation loop checks
-/// the token periodically and reports `Unknown` when cancelled (sound — the
-/// saturation was simply not finished).
-pub fn entails_linear_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    max_queries: usize,
-    token: &CancelToken,
-) -> Entailment {
-    entails_linear_with_stats_impl(schema, sigma, candidate, max_queries, token).0
-}
-
-/// As [`entails_linear`], additionally reporting saturation statistics (see
-/// [`saturate`] for how the chase vocabulary maps onto rewriting).
-pub fn entails_linear_with_stats(
+    run: &Run,
     schema: &Schema,
     sigma: &[Tgd],
     candidate: &Tgd,
     max_queries: usize,
 ) -> (Entailment, ChaseStats) {
-    entails_linear_with_stats_impl(schema, sigma, candidate, max_queries, &CancelToken::new())
-}
-
-fn entails_linear_with_stats_impl(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    max_queries: usize,
-    token: &CancelToken,
-) -> (Entailment, ChaseStats) {
+    let token = &run.token;
     assert!(
         sigma.iter().all(Tgd::is_linear),
         "entails_linear requires linear tgds"
@@ -532,13 +505,13 @@ fn saturate(
         let Some(query) = frontier.pop() else {
             break 'run Some(false);
         };
-        stats.rounds += 1;
-        // Cooperative cancellation: every 64 popped queries (a token check
-        // is an atomic load, the modulus keeps `Instant::now` off the hot
-        // path for deadline tokens).
+        // Cooperative cancellation: before the first and then every 64th
+        // popped query (a token check is an atomic load, the modulus keeps
+        // `Instant::now` off the hot path for deadline tokens).
         if stats.rounds.is_multiple_of(64) && token.is_cancelled() {
             break 'run None;
         }
+        stats.rounds += 1;
         let probe_started = Instant::now();
         let matched = query.holds_in(&index);
         stats.trigger_search_time += probe_started.elapsed();
@@ -569,37 +542,31 @@ fn saturate(
 /// Decides Boolean certain answering under **linear** tgds by first-order
 /// (UCQ) rewriting — no chase is ever built, so divergence is impossible:
 /// `Σ, D ⊨ q` iff some backward rewriting of `q` matches `D` directly.
+/// Reports saturation statistics alongside the answer.
 ///
-/// Returns `None` only if the saturation cap is hit.
+/// Returns `None` when the saturation cap is hit or `run.token` is
+/// cancelled.
 ///
 /// ```
 /// use tgdkit_logic::{parse_tgd, parse_tgds, Schema};
 /// use tgdkit_instance::parse_instance;
 /// use tgdkit_hom::Cq;
-/// use tgdkit_chase::certainly_holds_by_rewriting;
+/// use tgdkit_chase::{certainly_holds_by_rewriting, Run};
 /// let mut schema = Schema::default();
 /// // Divergent-chase ontology; rewriting answers instantly.
 /// let sigma = parse_tgds(&mut schema, "E(x,y) -> exists z : E(y,z).").unwrap();
 /// let data = parse_instance(&mut schema, "E(a,b)").unwrap();
 /// let probe = parse_tgd(&mut schema, "E(u,v), E(v,w), E(w,t) -> T(u)").unwrap();
 /// let q = Cq::boolean(probe.body().to_vec());
-/// assert_eq!(certainly_holds_by_rewriting(&data, &sigma, &q, 100_000), Some(true));
+/// let run = Run::default();
+/// let (answer, _stats) = certainly_holds_by_rewriting(&run, &data, &sigma, &q, 100_000);
+/// assert_eq!(answer, Some(true));
 /// ```
 ///
 /// # Panics
 /// Panics if some tgd of `sigma` is not linear.
 pub fn certainly_holds_by_rewriting(
-    data: &Instance,
-    sigma: &[Tgd],
-    query: &tgdkit_hom::Cq,
-    max_queries: usize,
-) -> Option<bool> {
-    certainly_holds_by_rewriting_with_stats(data, sigma, query, max_queries).0
-}
-
-/// As [`certainly_holds_by_rewriting`], additionally reporting saturation
-/// statistics.
-pub fn certainly_holds_by_rewriting_with_stats(
+    run: &Run,
     data: &Instance,
     sigma: &[Tgd],
     query: &tgdkit_hom::Cq,
@@ -623,14 +590,7 @@ pub fn certainly_holds_by_rewriting_with_stats(
     }
     .canonical();
     let mut stats = ChaseStats::default();
-    let verdict = saturate(
-        sigma,
-        initial,
-        data,
-        max_queries,
-        &mut stats,
-        &CancelToken::new(),
-    );
+    let verdict = saturate(sigma, initial, data, max_queries, &mut stats, &run.token);
     (verdict, stats)
 }
 
@@ -646,7 +606,7 @@ mod tests {
         let sigma = parse_tgds(&mut schema, sigma_text).unwrap();
         let candidate = parse_tgd(&mut schema, candidate_text).unwrap();
         let by_chase = entails(&schema, &sigma, &candidate, ChaseBudget::default());
-        let by_rewriting = entails_linear(&schema, &sigma, &candidate, 100_000);
+        let by_rewriting = entails_linear(&Run::default(), &schema, &sigma, &candidate, 100_000).0;
         if by_chase != Entailment::Unknown {
             assert_eq!(
                 by_chase, by_rewriting,
@@ -689,25 +649,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &three, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &three, 100_000).0,
             Entailment::Proved
         );
         // E(x,y) -> exists z : E(z,y) is trivially entailed (z = x) ...
         let into_y = parse_tgd(&mut schema, "E(x,y) -> exists z : E(z,y)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &into_y, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &into_y, 100_000).0,
             Entailment::Proved
         );
         // ... but nothing flows backwards into x.
         let back = parse_tgd(&mut schema, "E(x,y) -> exists z : E(z,x)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &back, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &back, 100_000).0,
             Entailment::Disproved
         );
         // And nothing forces a loop.
         let looped = parse_tgd(&mut schema, "E(x,y) -> exists z : E(z,z)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &looped, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &looped, 100_000).0,
             Entailment::Disproved
         );
     }
@@ -720,19 +680,19 @@ mod tests {
         let sigma = parse_tgds(&mut schema, "P(x) -> exists z : R(x,z), S(x,z).").unwrap();
         let shared = parse_tgd(&mut schema, "P(x) -> exists w : R(x,w), S(x,w)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &shared, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &shared, 100_000).0,
             Entailment::Proved
         );
         // Distinct witnesses are also entailed (weaker) ...
         let split = parse_tgd(&mut schema, "P(x) -> exists w, u : R(x,w), S(x,u)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &split, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &split, 100_000).0,
             Entailment::Proved
         );
         // ... but a *joined-the-other-way* pattern is not.
         let crossed = parse_tgd(&mut schema, "P(x) -> exists w : R(x,w), S(w,x)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &crossed, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &crossed, 100_000).0,
             Entailment::Disproved
         );
     }
@@ -746,7 +706,7 @@ mod tests {
         let sigma = parse_tgds(&mut schema, "P(x) -> exists z : R(x,z).").unwrap();
         let q = parse_tgd(&mut schema, "P(x) -> exists w : R(x,w), S(w,x)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &q, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &q, 100_000).0,
             Entailment::Disproved
         );
     }
@@ -758,7 +718,7 @@ mod tests {
         let sigma = parse_tgds(&mut schema, "P(x) -> exists z : E(x,z).").unwrap();
         let q = parse_tgd(&mut schema, "P(x) -> E(x,x)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &q, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &q, 100_000).0,
             Entailment::Disproved
         );
     }
@@ -773,7 +733,7 @@ mod tests {
         .unwrap();
         let q = parse_tgd(&mut schema, "true -> exists x, z : P(x), E(x,z)").unwrap();
         assert_eq!(
-            entails_linear(&schema, &sigma, &q, 100_000),
+            entails_linear(&Run::default(), &schema, &sigma, &q, 100_000).0,
             Entailment::Proved
         );
     }
@@ -796,7 +756,7 @@ mod tests {
             let probe = parse_tgd(&mut schema, text).unwrap();
             let q = Cq::boolean(probe.body().to_vec());
             assert_eq!(
-                certainly_holds_by_rewriting(&data, &sigma, &q, 100_000),
+                certainly_holds_by_rewriting(&Run::default(), &data, &sigma, &q, 100_000).0,
                 expected,
                 "rewriting wrong on {text}"
             );
@@ -819,13 +779,13 @@ mod tests {
         let forward = parse_tgd(&mut schema, "E(u,v), E(v,w) -> T(u)").unwrap();
         let q1 = Cq::boolean(forward.body().to_vec());
         assert_eq!(
-            certainly_holds_by_rewriting(&data, &sigma, &q1, 100_000),
+            certainly_holds_by_rewriting(&Run::default(), &data, &sigma, &q1, 100_000).0,
             Some(true)
         );
         let self_loop = parse_tgd(&mut schema, "E(u,u) -> T(u)").unwrap();
         let q2 = Cq::boolean(self_loop.body().to_vec());
         assert_eq!(
-            certainly_holds_by_rewriting(&data, &sigma, &q2, 100_000),
+            certainly_holds_by_rewriting(&Run::default(), &data, &sigma, &q2, 100_000).0,
             Some(false)
         );
     }
@@ -853,7 +813,8 @@ mod tests {
             ];
             let candidate = parse_tgd(&mut schema, texts[(seed % 5) as usize]).unwrap();
             let by_chase = entails(&schema, &sigma, &candidate, ChaseBudget::default());
-            let by_rewriting = entails_linear(&schema, &sigma, &candidate, 100_000);
+            let by_rewriting =
+                entails_linear(&Run::default(), &schema, &sigma, &candidate, 100_000).0;
             if by_chase != Entailment::Unknown {
                 assert_eq!(by_chase, by_rewriting, "case {seed}");
             } else {

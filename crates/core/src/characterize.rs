@@ -29,7 +29,7 @@ use crate::ontology::{FiniteOntology, Ontology};
 use crate::rewrite::{backward_pass, forward_pass};
 use tgdkit_chase::{
     entails_batch, entails_edd_under_tgds, equivalent, satisfies_edd, satisfies_egd, satisfies_tgd,
-    CancelToken, ChaseBudget, EntailCache, Entailment,
+    ChaseBudget, EntailCache, Entailment, Run,
 };
 use tgdkit_logic::{conjunction_vars, Atom, Edd, EddDisjunct, Egd, Tgd, TgdSet, Var};
 
@@ -223,10 +223,11 @@ pub fn edd_pipeline_for_tgd_ontology(
     budget: ChaseBudget,
 ) -> EddPipeline {
     let (candidates, exhaustive) = enumerate_edds(hidden.schema(), n, m, opts);
+    let run = Run::default();
     let sigma_vee: Vec<Edd> = candidates
         .into_iter()
         .filter(|edd| {
-            entails_edd_under_tgds(hidden.schema(), hidden.tgds(), edd, budget)
+            entails_edd_under_tgds(&run, hidden.schema(), hidden.tgds(), edd, budget).0
                 == Entailment::Proved
         })
         .collect();
@@ -268,13 +269,15 @@ pub fn recover_tgds(hidden: &TgdSet, opts: &EnumOptions, budget: ChaseBudget) ->
     // is paired with every admissible head), so filter them through the
     // body-grouped batch evaluator: one chase per distinct canonical body
     // instead of one per candidate.
-    let (verdicts, _batch) = entails_batch(
+    let (verdicts, _batch, _) = entails_batch(
+        &Run::default(),
         hidden.schema(),
         hidden.tgds(),
         &enumeration.tgds,
         budget,
         None,
-    );
+    )
+    .expect("a fresh batch has no checkpoint to mismatch");
     let kept: Vec<Tgd> = enumeration
         .tgds
         .iter()
@@ -286,9 +289,13 @@ pub fn recover_tgds(hidden: &TgdSet, opts: &EnumOptions, budget: ChaseBudget) ->
     // Minimize with the rewriting procedures' passes: a forward pass to a
     // kept set equivalent to the candidates, then a backward pass making
     // it irredundant.
-    let (schema, cache, token) = (hidden.schema(), EntailCache::new(), CancelToken::new());
-    let (kept, _) = forward_pass(schema, kept, budget, &cache, &token);
-    let (kept, _) = backward_pass(schema, kept, budget, &cache, &token);
+    let (schema, cache) = (hidden.schema(), EntailCache::new());
+    let run = Run {
+        cache: Some(&cache),
+        ..Run::default()
+    };
+    let (kept, _) = forward_pass(&run, schema, kept, budget);
+    let (kept, _) = backward_pass(&run, schema, kept, budget);
     let equivalence = equivalent(schema, &kept, hidden.tgds(), budget);
     Recovery {
         tgds: kept,

@@ -17,13 +17,14 @@
 //! guarantee that any single flipped byte is detected before any field is
 //! interpreted.
 
+use crate::rewrite::RewriteTarget;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use tgdkit_chase::checkpoint::{
-    open, open_governed, read_batch_stats, read_verdict, seal, write_batch_stats, write_verdict,
+    open_checkpoint, read_batch_stats, read_verdict, seal, write_batch_stats, write_verdict,
     CheckpointReader, CheckpointWriter, KIND_REWRITE,
 };
-use tgdkit_chase::{CancelToken, CheckpointError, EntailBatchStats, Entailment};
+use tgdkit_chase::{CheckpointError, EntailBatchStats, Entailment, Run};
 use tgdkit_logic::TgdVariantKey;
 
 /// Order-sensitive fingerprint of an enumerated candidate space (its
@@ -39,14 +40,12 @@ pub fn keys_fingerprint(keys: &[TgdVariantKey]) -> u64 {
     hasher.finish()
 }
 
-/// Suspended state of a rewriting procedure
-/// ([`crate::guarded_to_linear_checkpointing`] /
-/// [`crate::frontier_guarded_to_guarded_checkpointing`]).
+/// Suspended state of a checkpointing [`crate::rewrite()`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RewriteCheckpoint {
-    /// Target-class tag (`1` linear, `2` guarded), so a checkpoint cannot
-    /// resume the wrong procedure.
-    pub(crate) target: u8,
+    /// Target class, so a checkpoint cannot resume the wrong procedure
+    /// (framed as [`RewriteTarget::tag`]).
+    pub(crate) target: RewriteTarget,
     /// [`tgdkit_chase::tgds_fingerprint`] of the input set.
     pub(crate) sigma_fp: u64,
     /// [`keys_fingerprint`] of the enumerated candidate space.
@@ -87,7 +86,7 @@ impl RewriteCheckpoint {
     /// Serializes into the versioned, checksummed frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = CheckpointWriter::new();
-        w.u8(self.target);
+        w.u8(self.target.tag());
         w.u64(self.sigma_fp);
         w.u64(self.enum_fp);
         w.u8(self.exhaustive as u8);
@@ -107,26 +106,15 @@ impl RewriteCheckpoint {
 
     /// Decodes a frame produced by [`Self::encode`]. Corruption anywhere —
     /// checksum, truncation, malformed flags — is a typed
-    /// [`CheckpointError`], never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<RewriteCheckpoint, CheckpointError> {
-        Self::from_payload(open(bytes, KIND_REWRITE)?)
-    }
-
-    /// [`Self::decode`] consulting the token's fault plan at
-    /// [`tgdkit_chase::FaultSite::CheckpointCorrupt`].
-    pub fn decode_governed(
-        bytes: &[u8],
-        token: &CancelToken,
-    ) -> Result<RewriteCheckpoint, CheckpointError> {
-        Self::from_payload(open_governed(bytes, KIND_REWRITE, token)?)
+    /// [`CheckpointError`], never a panic. `run.token`'s fault plan may
+    /// inject [`tgdkit_chase::FaultSite::CheckpointCorrupt`].
+    pub fn decode(run: &Run, bytes: &[u8]) -> Result<RewriteCheckpoint, CheckpointError> {
+        Self::from_payload(open_checkpoint(run, bytes, KIND_REWRITE)?)
     }
 
     fn from_payload(payload: &[u8]) -> Result<RewriteCheckpoint, CheckpointError> {
         let mut r = CheckpointReader::new(payload);
-        let target = r.u8()?;
-        if target != 1 && target != 2 {
-            return Err(CheckpointError::Malformed("rewrite target tag"));
-        }
+        let target = RewriteTarget::from_tag(r.u8()?)?;
         let sigma_fp = r.u64()?;
         let enum_fp = r.u64()?;
         let exhaustive = read_flag(&mut r)?;
@@ -174,7 +162,7 @@ mod tests {
 
     fn sample() -> RewriteCheckpoint {
         RewriteCheckpoint {
-            target: 1,
+            target: RewriteTarget::Linear,
             sigma_fp: 0xDEAD_BEEF,
             enum_fp: 42,
             exhaustive: true,
@@ -197,7 +185,7 @@ mod tests {
     #[test]
     fn rewrite_checkpoint_round_trips() {
         let cp = sample();
-        let decoded = RewriteCheckpoint::decode(&cp.encode()).unwrap();
+        let decoded = RewriteCheckpoint::decode(&Run::default(), &cp.encode()).unwrap();
         assert_eq!(decoded, cp);
     }
 
@@ -209,7 +197,7 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[i] ^= 1 << bit;
                 assert!(
-                    RewriteCheckpoint::decode(&corrupt).is_err(),
+                    RewriteCheckpoint::decode(&Run::default(), &corrupt).is_err(),
                     "flip at byte {i} bit {bit} went undetected"
                 );
             }
@@ -218,11 +206,14 @@ mod tests {
 
     #[test]
     fn bad_flag_bytes_are_malformed_not_panics() {
-        let mut cp = sample();
-        cp.target = 7;
+        let bytes = sample().encode();
+        let mut payload = tgdkit_chase::checkpoint::open(&bytes, KIND_REWRITE)
+            .unwrap()
+            .to_vec();
+        payload[0] = 7;
         // Re-seal with the bogus tag: checksum is fine, content is not.
         assert!(matches!(
-            RewriteCheckpoint::decode(&cp.encode()),
+            RewriteCheckpoint::decode(&Run::default(), &seal(KIND_REWRITE, &payload)),
             Err(CheckpointError::Malformed("rewrite target tag"))
         ));
     }

@@ -15,8 +15,9 @@
 //! distinguish definitive *not rewritable* answers from budget-limited
 //! *inconclusive* ones.
 
+use crate::rewrite::RewriteTarget;
 use std::collections::{BTreeSet, HashSet};
-use tgdkit_chase::CancelToken;
+use tgdkit_chase::{CancelToken, Run};
 use tgdkit_instance::FxBuildHasher;
 use tgdkit_logic::{canonical_tgd_with_key, Atom, PredId, Schema, Tgd, TgdVariantKey, Var};
 
@@ -195,17 +196,12 @@ pub fn head_conjunctions(
 }
 
 /// Deduplicates tgds up to renaming/reordering, keeping canonical
-/// representatives in first-seen order.
-pub fn dedup_canonical(tgds: impl IntoIterator<Item = Tgd>) -> Vec<Tgd> {
-    dedup_canonical_governed(tgds, &CancelToken::new()).0
-}
-
-/// [`dedup_canonical`] under a [`CancelToken`]: once cancelled, the
+/// representatives in first-seen order. Once `token` is cancelled, the
 /// remaining input is dropped (callers treating cancellation as a
 /// non-exhaustive enumeration already discard the partial result). Returns
 /// the representatives together with their variant keys (parallel vectors),
 /// so enumeration callers never recompute the canonical ordering search.
-fn dedup_canonical_governed(
+fn dedup_canonical(
     tgds: impl IntoIterator<Item = Tgd>,
     token: &CancelToken,
 ) -> (Vec<Tgd>, Vec<TgdVariantKey>) {
@@ -228,15 +224,39 @@ fn dedup_canonical_governed(
 /// The candidate space of Algorithm 1: canonical linear tgds over `schema`
 /// with at most `n` universal and `m` existential variables.
 pub fn linear_candidates(schema: &Schema, n: usize, m: usize, opts: &EnumOptions) -> Enumeration {
-    linear_candidates_governed(schema, n, m, opts, &CancelToken::new())
+    candidates(&Run::default(), schema, RewriteTarget::Linear, n, m, opts)
 }
 
-/// [`linear_candidates`] under a [`CancelToken`]: the generation and dedup
-/// loops check the token every [`ENUM_CANCEL_STRIDE`] candidates, so a
-/// deadline expiring mid-enumeration stops the sweep promptly (the result is
-/// then marked non-exhaustive; governed rewriting discards it as
+/// The candidate space of Algorithm 2: canonical guarded tgds over `schema`
+/// with at most `n` universal and `m` existential variables. A guarded body
+/// is a guard atom using exactly the tgd's universal variables plus at most
+/// `max_body_atoms` side atoms over those variables.
+pub fn guarded_candidates(schema: &Schema, n: usize, m: usize, opts: &EnumOptions) -> Enumeration {
+    candidates(&Run::default(), schema, RewriteTarget::Guarded, n, m, opts)
+}
+
+/// The candidate space `C_{n,m}` of the rewriting procedure for `target`
+/// ([`linear_candidates`] or [`guarded_candidates`]) under a [`Run`]
+/// context: the generation and dedup loops check `run.token` every
+/// [`ENUM_CANCEL_STRIDE`] candidates, so a deadline expiring
+/// mid-enumeration stops the sweep promptly (the result is then marked
+/// non-exhaustive; rewriting under a cancelled run discards it as
 /// `Cancelled`).
-pub fn linear_candidates_governed(
+pub fn candidates(
+    run: &Run,
+    schema: &Schema,
+    target: RewriteTarget,
+    n: usize,
+    m: usize,
+    opts: &EnumOptions,
+) -> Enumeration {
+    match target {
+        RewriteTarget::Linear => linear_space(schema, n, m, opts, &run.token),
+        RewriteTarget::Guarded => guarded_space(schema, n, m, opts, &run.token),
+    }
+}
+
+fn linear_space(
     schema: &Schema,
     n: usize,
     m: usize,
@@ -279,7 +299,7 @@ pub fn linear_candidates_governed(
             tgds.push(tgd);
         }
     }
-    let (tgds, keys) = dedup_canonical_governed(tgds, token);
+    let (tgds, keys) = dedup_canonical(tgds, token);
     Enumeration {
         tgds,
         keys,
@@ -287,17 +307,7 @@ pub fn linear_candidates_governed(
     }
 }
 
-/// The candidate space of Algorithm 2: canonical guarded tgds over `schema`
-/// with at most `n` universal and `m` existential variables. A guarded body
-/// is a guard atom using exactly the tgd's universal variables plus at most
-/// `max_body_atoms` side atoms over those variables.
-pub fn guarded_candidates(schema: &Schema, n: usize, m: usize, opts: &EnumOptions) -> Enumeration {
-    guarded_candidates_governed(schema, n, m, opts, &CancelToken::new())
-}
-
-/// [`guarded_candidates`] under a [`CancelToken`] (same check granularity
-/// as [`linear_candidates_governed`]).
-pub fn guarded_candidates_governed(
+fn guarded_space(
     schema: &Schema,
     n: usize,
     m: usize,
@@ -376,7 +386,7 @@ pub fn guarded_candidates_governed(
             tgds.push(tgd);
         }
     }
-    let (tgds, keys) = dedup_canonical_governed(tgds, token);
+    let (tgds, keys) = dedup_canonical(tgds, token);
     Enumeration {
         tgds,
         keys,
@@ -433,7 +443,7 @@ pub fn all_candidates(schema: &Schema, n: usize, m: usize, opts: &EnumOptions) -
             }
         }
     }
-    let (tgds, keys) = dedup_canonical_governed(tgds, &CancelToken::new());
+    let (tgds, keys) = dedup_canonical(tgds, &CancelToken::new());
     Enumeration {
         tgds,
         keys,

@@ -21,12 +21,9 @@
 //! definitive `Yes`s (and exhaustive `No`s when budgets allow).
 
 use crate::properties::sample_members;
-use crate::rewrite::{
-    frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached, guarded_to_linear,
-    guarded_to_linear_cached, RewriteOptions, RewriteOutcome,
-};
+use crate::rewrite::{rewrite, RewriteOptions, RewriteOutcome, RewriteTarget};
 use crate::verdict::Verdict;
-use tgdkit_chase::{chase, satisfies_tgds, ChaseBudget, ChaseVariant, EntailCache};
+use tgdkit_chase::{chase, satisfies_tgds, ChaseBudget, ChaseVariant, Run};
 use tgdkit_instance::{disjoint_union, union, Elem, Instance};
 use tgdkit_logic::TgdSet;
 
@@ -141,34 +138,7 @@ pub fn is_linear_expressible(set: &TgdSet, opts: &RewriteOptions, seed: u64) -> 
     if union_closure_witness(set, 6, seed).is_some() {
         return Verdict::No;
     }
-    match guarded_to_linear(set, opts) {
-        RewriteOutcome::Rewritten(_) => Verdict::Yes,
-        RewriteOutcome::NotRewritable => Verdict::No,
-        RewriteOutcome::Inconclusive | RewriteOutcome::Cancelled | RewriteOutcome::Suspended => {
-            Verdict::Unknown
-        }
-    }
-}
-
-/// [`is_linear_expressible`] against a caller-provided [`EntailCache`], so
-/// sweeps over many sets (or repeated checks of one set) reuse entailment
-/// verdicts across the underlying Algorithm 1 runs.
-pub fn is_linear_expressible_cached(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    seed: u64,
-    cache: &EntailCache,
-) -> Verdict {
-    if union_closure_witness(set, 6, seed).is_some() {
-        return Verdict::No;
-    }
-    match guarded_to_linear_cached(set, opts, cache).0 {
-        RewriteOutcome::Rewritten(_) => Verdict::Yes,
-        RewriteOutcome::NotRewritable => Verdict::No,
-        RewriteOutcome::Inconclusive | RewriteOutcome::Cancelled | RewriteOutcome::Suspended => {
-            Verdict::Unknown
-        }
-    }
+    rewritable(set, RewriteTarget::Linear, opts)
 }
 
 /// Decides whether a frontier-guarded set is expressible with guarded tgds,
@@ -177,26 +147,14 @@ pub fn is_guarded_expressible(set: &TgdSet, opts: &RewriteOptions, seed: u64) ->
     if disjoint_union_closure_witness(set, 6, seed).is_some() {
         return Verdict::No;
     }
-    match frontier_guarded_to_guarded(set, opts) {
-        RewriteOutcome::Rewritten(_) => Verdict::Yes,
-        RewriteOutcome::NotRewritable => Verdict::No,
-        RewriteOutcome::Inconclusive | RewriteOutcome::Cancelled | RewriteOutcome::Suspended => {
-            Verdict::Unknown
-        }
-    }
+    rewritable(set, RewriteTarget::Guarded, opts)
 }
 
-/// [`is_guarded_expressible`] against a caller-provided [`EntailCache`].
-pub fn is_guarded_expressible_cached(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    seed: u64,
-    cache: &EntailCache,
-) -> Verdict {
-    if disjoint_union_closure_witness(set, 6, seed).is_some() {
-        return Verdict::No;
-    }
-    match frontier_guarded_to_guarded_cached(set, opts, cache).0 {
+/// The slow path of both checks: Algorithm 1 or 2, read as a verdict.
+fn rewritable(set: &TgdSet, target: RewriteTarget, opts: &RewriteOptions) -> Verdict {
+    let (outcome, _, _) = rewrite(&Run::default(), set, target, opts, None)
+        .expect("a fresh run has no checkpoint to mismatch");
+    match outcome {
         RewriteOutcome::Rewritten(_) => Verdict::Yes,
         RewriteOutcome::NotRewritable => Verdict::No,
         RewriteOutcome::Inconclusive | RewriteOutcome::Cancelled | RewriteOutcome::Suspended => {

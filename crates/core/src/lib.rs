@@ -18,7 +18,7 @@
 //!   `LTGD ⊊ GTGD ⊊ FGTGD`, with machine-checked locality violations;
 //! - [`mv`]: the Makowsky–Vardi correction of §5 — Example 5.2 and
 //!   non-oblivious duplicating extensions;
-//! - [`rewrite`]: Algorithms 1 and 2 of §9.2 — `Rewrite(GTGD, LTGD)` and
+//! - [`mod@rewrite`]: Algorithms 1 and 2 of §9.2 — `Rewrite(GTGD, LTGD)` and
 //!   `Rewrite(FGTGD, GTGD)` — with canonical candidate enumeration and
 //!   parallel entailment filtering;
 //! - [`characterize`]: the constructive direction of Theorem 4.1 — synthesis
@@ -43,18 +43,10 @@ pub mod verdict;
 pub mod workload;
 
 pub use checkpoint::{keys_fingerprint, RewriteCheckpoint};
-pub use locality::{
-    locality_counterexample, locality_counterexample_with_stats,
-    locality_counterexample_with_stats_governed, locally_embeddable, locally_embeddable_with_stats,
-    locally_embeddable_with_stats_governed, LocalityFlavor, LocalityOptions,
-};
+pub use locality::{locality_counterexample, locally_embeddable, LocalityFlavor, LocalityOptions};
 pub use ontology::{DependencyOntology, FiniteOntology, Ontology, TgdOntology};
 pub use rewrite::{
-    frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached,
-    frontier_guarded_to_guarded_cached_governed, frontier_guarded_to_guarded_checkpointing,
-    frontier_guarded_to_guarded_governed, frontier_guarded_to_guarded_resume, guarded_to_linear,
-    guarded_to_linear_cached, guarded_to_linear_cached_governed, guarded_to_linear_checkpointing,
-    guarded_to_linear_governed, guarded_to_linear_resume, PoolEval, RewriteOptions, RewriteOutcome,
-    RewriteStats,
+    frontier_guarded_to_guarded_cached, guarded_to_linear_cached, rewrite, RewriteOptions,
+    RewriteOutcome, RewriteRun, RewriteStats, RewriteTarget,
 };
 pub use verdict::Verdict;

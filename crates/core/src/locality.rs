@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::rc::Rc;
 use tgdkit_chase::{
-    chase_governed, satisfies_tgds, CancelToken, ChaseBudget, ChaseStats, ChaseVariant,
+    chase_from, satisfies_tgds, ChaseBudget, ChaseStart, ChaseStats, ChaseVariant, Run,
 };
 use tgdkit_hom::find_instance_hom;
 use tgdkit_instance::{Elem, Fact, Instance};
@@ -211,7 +211,7 @@ fn check_case(
     cases_used: &mut usize,
     stats: &mut ChaseStats,
     memo: &mut WitnessMemo,
-    token: &CancelToken,
+    run: &Run,
 ) -> CaseOutcome {
     let key: Vec<Fact> = case.k.facts().collect();
     let witness = match memo.get(&key) {
@@ -225,13 +225,14 @@ fn check_case(
             k.add_dom_elem(sentinel);
             // A cancelled chase is not `Terminated`, so its witness is
             // (soundly) treated exactly like a budget-truncated one.
-            let result = chase_governed(
-                &k,
+            let (result, _) = chase_from(
+                run,
+                ChaseStart::Fresh(&k),
                 sigma.tgds(),
                 ChaseVariant::Restricted,
                 opts.chase_budget,
-                token,
-            );
+            )
+            .expect("a fresh start has no checkpoint to mismatch");
             stats.absorb(&result.stats);
             let entry = result.terminated().then(|| Rc::new(result.instance));
             memo.insert(key, entry.clone());
@@ -264,49 +265,25 @@ fn check_case(
 }
 
 /// Decides whether the TGD-ontology of `sigma` is (n,m)-locally embeddable
-/// in `I`, in the given flavor.
+/// in `I`, in the given flavor, under a [`Run`] context, reporting the
+/// engine work aggregated over every per-`K` witness chase
+/// ([`ChaseStats::absorb`]ed across cases).
 ///
 /// Exact whenever every per-`K` chase terminates within budget (see the
 /// module docs for the witness-optimality argument); otherwise `Unknown`.
+/// `run.token` is checked between cases and inside each witness chase, so
+/// cancellation stops the check within one case. A cut-short check
+/// reports [`Verdict::Unknown`] — a definitive `No` found *before* the cut
+/// is still returned (it cannot be invalidated by the unexamined cases).
+#[allow(clippy::too_many_arguments)] // an (n, m, flavor)-parameterized check under a run
 pub fn locally_embeddable(
+    run: &Run,
     sigma: &TgdSet,
     i: &Instance,
     n: usize,
     m: usize,
     flavor: LocalityFlavor,
     opts: &LocalityOptions,
-) -> Verdict {
-    locally_embeddable_with_stats(sigma, i, n, m, flavor, opts).0
-}
-
-/// As [`locally_embeddable`], additionally reporting the engine work
-/// aggregated over every per-`K` witness chase ([`ChaseStats::absorb`]ed
-/// across cases).
-pub fn locally_embeddable_with_stats(
-    sigma: &TgdSet,
-    i: &Instance,
-    n: usize,
-    m: usize,
-    flavor: LocalityFlavor,
-    opts: &LocalityOptions,
-) -> (Verdict, ChaseStats) {
-    locally_embeddable_with_stats_governed(sigma, i, n, m, flavor, opts, &CancelToken::new())
-}
-
-/// [`locally_embeddable_with_stats`] under a [`CancelToken`]: the token is
-/// checked between cases and inside each witness chase, so cancellation
-/// stops the check within one case. A cut-short check reports
-/// [`Verdict::Unknown`] — a definitive `No` found *before* the cut is still
-/// returned (it cannot be invalidated by the unexamined cases).
-#[allow(clippy::too_many_arguments)] // governed twin of an (n, m, flavor)-parameterized check
-pub fn locally_embeddable_with_stats_governed(
-    sigma: &TgdSet,
-    i: &Instance,
-    n: usize,
-    m: usize,
-    flavor: LocalityFlavor,
-    opts: &LocalityOptions,
-    token: &CancelToken,
 ) -> (Verdict, ChaseStats) {
     let mut stats = ChaseStats::default();
     let mut unknown = false;
@@ -316,7 +293,7 @@ pub fn locally_embeddable_with_stats_governed(
     // domain with a sentinel above I's maximum element.
     let sentinel = i.fresh_elem();
     for case in cases(sigma, i, n, flavor) {
-        if token.is_cancelled() {
+        if run.token.is_cancelled() {
             return (Verdict::Unknown, stats);
         }
         match check_case(
@@ -329,7 +306,7 @@ pub fn locally_embeddable_with_stats_governed(
             &mut cases_used,
             &mut stats,
             &mut memo,
-            token,
+            run,
         ) {
             CaseOutcome::Embeds => {}
             // The chase was a member of O containing K; by witness
@@ -365,7 +342,7 @@ pub fn failing_case(
     let mut cases_used = 0usize;
     let mut stats = ChaseStats::default();
     let mut memo = WitnessMemo::new();
-    let token = CancelToken::new();
+    let run = Run::default();
     for case in cases(sigma, i, n, flavor) {
         if check_case(
             sigma,
@@ -377,7 +354,7 @@ pub fn failing_case(
             &mut cases_used,
             &mut stats,
             &mut memo,
-            &token,
+            &run,
         ) == CaseOutcome::Fails
         {
             return Some((case.k, case.fix));
@@ -391,50 +368,25 @@ pub fn failing_case(
 
 /// Checks whether `I` witnesses that the ontology of `sigma` is **not**
 /// (n,m)-local in the given flavor: `O` locally embeddable in `I` while
-/// `I ∉ O` (the shape of the §9.1 separation arguments).
+/// `I ∉ O` (the shape of the §9.1 separation arguments). Reports the
+/// aggregated engine work — including the witness-memo hit/miss counters
+/// ([`ChaseStats::cache_hits`] / [`ChaseStats::cache_misses`]), so the
+/// §9.1 separation experiments can show how much re-chasing the memo
+/// avoided. Cancellation behaves as in [`locally_embeddable`].
+#[allow(clippy::too_many_arguments)] // an (n, m, flavor)-parameterized check under a run
 pub fn locality_counterexample(
+    run: &Run,
     sigma: &TgdSet,
     i: &Instance,
     n: usize,
     m: usize,
     flavor: LocalityFlavor,
     opts: &LocalityOptions,
-) -> Verdict {
-    locality_counterexample_with_stats(sigma, i, n, m, flavor, opts).0
-}
-
-/// As [`locality_counterexample`], additionally reporting the aggregated
-/// engine work — including the witness-memo hit/miss counters
-/// ([`ChaseStats::cache_hits`] / [`ChaseStats::cache_misses`]), so the §9.1
-/// separation experiments can show how much re-chasing the memo avoided.
-pub fn locality_counterexample_with_stats(
-    sigma: &TgdSet,
-    i: &Instance,
-    n: usize,
-    m: usize,
-    flavor: LocalityFlavor,
-    opts: &LocalityOptions,
-) -> (Verdict, ChaseStats) {
-    locality_counterexample_with_stats_governed(sigma, i, n, m, flavor, opts, &CancelToken::new())
-}
-
-/// [`locality_counterexample_with_stats`] under a [`CancelToken`]; see
-/// [`locally_embeddable_with_stats_governed`] for the cancellation
-/// semantics.
-#[allow(clippy::too_many_arguments)] // governed twin of an (n, m, flavor)-parameterized check
-pub fn locality_counterexample_with_stats_governed(
-    sigma: &TgdSet,
-    i: &Instance,
-    n: usize,
-    m: usize,
-    flavor: LocalityFlavor,
-    opts: &LocalityOptions,
-    token: &CancelToken,
 ) -> (Verdict, ChaseStats) {
     if satisfies_tgds(i, sigma.tgds()) {
         return (Verdict::No, ChaseStats::default()); // I ∈ O: cannot witness non-locality
     }
-    locally_embeddable_with_stats_governed(sigma, i, n, m, flavor, opts, token)
+    locally_embeddable(run, sigma, i, n, m, flavor, opts)
 }
 
 /// Samples the Lemma 3.6 direction on given instances: for each `I`, if `O`
@@ -451,7 +403,7 @@ pub fn local_on_samples(
 ) -> (Verdict, Option<usize>) {
     let mut unknown = false;
     for (idx, i) in samples.iter().enumerate() {
-        match locally_embeddable(sigma, i, n, m, flavor, opts) {
+        match locally_embeddable(&Run::default(), sigma, i, n, m, flavor, opts).0 {
             Verdict::Yes => {
                 if !satisfies_tgds(i, sigma.tgds()) {
                     return (Verdict::No, Some(idx));
@@ -479,6 +431,24 @@ mod tests {
         TgdSet::new(s.clone(), tgds).unwrap()
     }
 
+    /// [`locally_embeddable`] under a default run and default options.
+    fn embeddable(sigma: &TgdSet, i: &Instance, n: usize, m: usize, f: LocalityFlavor) -> Verdict {
+        let opts = LocalityOptions::default();
+        locally_embeddable(&Run::default(), sigma, i, n, m, f, &opts).0
+    }
+
+    /// [`locality_counterexample`] under a default run and default options.
+    fn counterexample(
+        sigma: &TgdSet,
+        i: &Instance,
+        n: usize,
+        m: usize,
+        f: LocalityFlavor,
+    ) -> Verdict {
+        let opts = LocalityOptions::default();
+        locality_counterexample(&Run::default(), sigma, i, n, m, f, &opts).0
+    }
+
     #[test]
     fn members_are_always_embeddable() {
         // If I ⊨ Σ then O is trivially locally embeddable in I (witnesses
@@ -487,7 +457,7 @@ mod tests {
         let mut s = Schema::default();
         let sigma = set(&mut s, "E(x,y) -> E(y,x).");
         let i = parse_instance(&mut s, "E(a,b), E(b,a)").unwrap();
-        let v = locally_embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain, &Default::default());
+        let v = embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain);
         assert_eq!(v, Verdict::Yes);
     }
 
@@ -498,7 +468,7 @@ mod tests {
         // I lacks E(b,a): the chase of K = {E(a,b)} contains E(b,a), whose
         // 0-neighbourhood cannot embed into I fixing {a,b}.
         let i = parse_instance(&mut s, "E(a,b)").unwrap();
-        let v = locally_embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain, &Default::default());
+        let v = embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain);
         assert_eq!(v, Verdict::No);
     }
 
@@ -534,32 +504,18 @@ mod tests {
         let sigma = set(&mut s, "R(x), P(x) -> T(x).");
         let i = parse_instance(&mut s, "R(c), P(c)").unwrap();
         assert_eq!(
-            locally_embeddable(
-                &sigma,
-                &i,
-                1,
-                0,
-                LocalityFlavor::Linear,
-                &Default::default()
-            ),
+            embeddable(&sigma, &i, 1, 0, LocalityFlavor::Linear),
             Verdict::Yes
         );
         assert_eq!(
-            locality_counterexample(
-                &sigma,
-                &i,
-                1,
-                0,
-                LocalityFlavor::Linear,
-                &Default::default()
-            ),
+            counterexample(&sigma, &i, 1, 0, LocalityFlavor::Linear),
             Verdict::Yes
         );
         // But Σ_G is NOT plainly (1,0)-locally embeddable... in fact for
         // plain locality with n = 2 the subinstance K = I itself reveals the
         // missing T(c).
         assert_eq!(
-            locally_embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain, &Default::default()),
+            embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain),
             Verdict::No
         );
     }
@@ -572,31 +528,17 @@ mod tests {
         let sigma = set(&mut s, "R(x), P(y) -> T(x).");
         let i = parse_instance(&mut s, "R(c), P(d)").unwrap();
         assert_eq!(
-            locally_embeddable(
-                &sigma,
-                &i,
-                2,
-                0,
-                LocalityFlavor::Guarded,
-                &Default::default()
-            ),
+            embeddable(&sigma, &i, 2, 0, LocalityFlavor::Guarded),
             Verdict::Yes
         );
         assert_eq!(
-            locality_counterexample(
-                &sigma,
-                &i,
-                2,
-                0,
-                LocalityFlavor::Guarded,
-                &Default::default()
-            ),
+            counterexample(&sigma, &i, 2, 0, LocalityFlavor::Guarded),
             Verdict::Yes
         );
         // Plain (2,0)-local embeddability fails: K = I itself (adom size 2)
         // forces T(c).
         assert_eq!(
-            locally_embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain, &Default::default()),
+            embeddable(&sigma, &i, 2, 0, LocalityFlavor::Plain),
             Verdict::No
         );
     }
@@ -613,14 +555,7 @@ mod tests {
             parse_instance(&mut s, "R(a,a)").unwrap(),
         ];
         for i in &samples {
-            let v = locality_counterexample(
-                &sigma,
-                i,
-                2,
-                1,
-                LocalityFlavor::Guarded,
-                &Default::default(),
-            );
+            let v = counterexample(&sigma, i, 2, 1, LocalityFlavor::Guarded);
             assert_ne!(v, Verdict::Yes, "unexpected counterexample: {i}");
         }
     }
@@ -632,28 +567,14 @@ mod tests {
         // I provides a witness edge: embeddable and a member.
         let good = parse_instance(&mut s, "P(a), E(a,b)").unwrap();
         assert_eq!(
-            locally_embeddable(
-                &sigma,
-                &good,
-                1,
-                1,
-                LocalityFlavor::Plain,
-                &Default::default()
-            ),
+            embeddable(&sigma, &good, 1, 1, LocalityFlavor::Plain),
             Verdict::Yes
         );
         // I without the edge: chase of K = {P(a)} yields E(a, null) whose
         // 1-neighbourhood cannot embed fixing a.
         let bad = parse_instance(&mut s, "P(a)").unwrap();
         assert_eq!(
-            locally_embeddable(
-                &sigma,
-                &bad,
-                1,
-                1,
-                LocalityFlavor::Plain,
-                &Default::default()
-            ),
+            embeddable(&sigma, &bad, 1, 1, LocalityFlavor::Plain),
             Verdict::No
         );
     }
@@ -667,25 +588,11 @@ mod tests {
         let sigma = set(&mut s, "P(x) -> exists z : E(x,z).");
         let bad = parse_instance(&mut s, "P(a)").unwrap();
         assert_eq!(
-            locally_embeddable(
-                &sigma,
-                &bad,
-                1,
-                0,
-                LocalityFlavor::Plain,
-                &Default::default()
-            ),
+            embeddable(&sigma, &bad, 1, 0, LocalityFlavor::Plain),
             Verdict::Yes
         );
         assert_eq!(
-            locally_embeddable(
-                &sigma,
-                &bad,
-                1,
-                1,
-                LocalityFlavor::Plain,
-                &Default::default()
-            ),
+            embeddable(&sigma, &bad, 1, 1, LocalityFlavor::Plain),
             Verdict::No
         );
     }
@@ -698,14 +605,9 @@ mod tests {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y) -> exists z : S(x,z).");
         let i = parse_instance(&mut s, "R(a,b), S(a,c)").unwrap();
-        let (verdict, stats) = locally_embeddable_with_stats(
-            &sigma,
-            &i,
-            2,
-            1,
-            LocalityFlavor::FrontierGuarded,
-            &Default::default(),
-        );
+        let flavor = LocalityFlavor::FrontierGuarded;
+        let opts = LocalityOptions::default();
+        let (verdict, stats) = locally_embeddable(&Run::default(), &sigma, &i, 2, 1, flavor, &opts);
         assert_eq!(verdict, Verdict::Yes);
         assert!(
             stats.cache_hits > 0,
@@ -715,25 +617,9 @@ mod tests {
         // Same verdict and same counters surface through the
         // counterexample entry point on a non-member.
         let bad = parse_instance(&mut s, "R(a,b)").unwrap();
-        let (v2, stats2) = locality_counterexample_with_stats(
-            &sigma,
-            &bad,
-            2,
-            1,
-            LocalityFlavor::FrontierGuarded,
-            &Default::default(),
-        );
-        assert_eq!(
-            v2,
-            locality_counterexample(
-                &sigma,
-                &bad,
-                2,
-                1,
-                LocalityFlavor::FrontierGuarded,
-                &Default::default()
-            )
-        );
+        let (v2, stats2) =
+            locality_counterexample(&Run::default(), &sigma, &bad, 2, 1, flavor, &opts);
+        assert_eq!(v2, counterexample(&sigma, &bad, 2, 1, flavor));
         assert!(stats2.cache_hits + stats2.cache_misses > 0);
     }
 
@@ -750,7 +636,16 @@ mod tests {
             },
             max_cases: 1_000_000,
         };
-        let v = locally_embeddable(&sigma, &i, 2, 1, LocalityFlavor::Plain, &opts);
+        let v = locally_embeddable(
+            &Run::default(),
+            &sigma,
+            &i,
+            2,
+            1,
+            LocalityFlavor::Plain,
+            &opts,
+        )
+        .0;
         assert_eq!(v, Verdict::Unknown);
     }
 
@@ -759,24 +654,10 @@ mod tests {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y) -> exists z : S(x,z).");
         let i = parse_instance(&mut s, "R(a,b), S(a,c)").unwrap();
-        let v = locally_embeddable(
-            &sigma,
-            &i,
-            2,
-            1,
-            LocalityFlavor::FrontierGuarded,
-            &Default::default(),
-        );
+        let v = embeddable(&sigma, &i, 2, 1, LocalityFlavor::FrontierGuarded);
         assert_eq!(v, Verdict::Yes);
         let bad = parse_instance(&mut s, "R(a,b)").unwrap();
-        let v2 = locally_embeddable(
-            &sigma,
-            &bad,
-            2,
-            1,
-            LocalityFlavor::FrontierGuarded,
-            &Default::default(),
-        );
+        let v2 = embeddable(&sigma, &bad, 2, 1, LocalityFlavor::FrontierGuarded);
         assert_eq!(v2, Verdict::No);
     }
 }

@@ -153,15 +153,18 @@ pub fn fg_entailment_to_guarded_rewritability(
 mod tests {
     use super::*;
     use crate::enumerate::EnumOptions;
-    use crate::rewrite::{
-        frontier_guarded_to_guarded, guarded_to_linear, RewriteOptions, RewriteOutcome,
-    };
-    use tgdkit_chase::{entails, ChaseBudget, Entailment};
+    use crate::rewrite::{rewrite, RewriteOptions, RewriteOutcome, RewriteTarget};
+    use tgdkit_chase::{entails, ChaseBudget, Entailment, Run};
     use tgdkit_logic::{parse_tgd, parse_tgds};
 
     fn set(s: &mut Schema, text: &str) -> TgdSet {
         let tgds = parse_tgds(s, text).unwrap();
         TgdSet::new(s.clone(), tgds).unwrap()
+    }
+
+    /// Algorithm 1 (`Linear`) or 2 (`Guarded`) under a default run.
+    fn decide(set: &TgdSet, target: RewriteTarget, opts: &RewriteOptions) -> RewriteOutcome {
+        rewrite(&Run::default(), set, target, opts, None).unwrap().0
     }
 
     fn opts(max_head_atoms: usize) -> RewriteOptions {
@@ -197,7 +200,7 @@ mod tests {
             Entailment::Proved
         );
         let reduction = guarded_entailment_to_linear_rewritability(&positive, q).unwrap();
-        let outcome = guarded_to_linear(&reduction.sigma_prime, &opts(2));
+        let outcome = decide(&reduction.sigma_prime, RewriteTarget::Linear, &opts(2));
         assert!(
             matches!(outcome, RewriteOutcome::Rewritten(_)),
             "positive instance must be linearizable, got {outcome:?}"
@@ -208,7 +211,7 @@ mod tests {
         let negative = set(&mut s2, "P(x) -> Q(x).");
         let q2 = s2.pred_id("Q").unwrap();
         let reduction2 = guarded_entailment_to_linear_rewritability(&negative, q2).unwrap();
-        let outcome2 = guarded_to_linear(&reduction2.sigma_prime, &opts(8));
+        let outcome2 = decide(&reduction2.sigma_prime, RewriteTarget::Linear, &opts(8));
         assert_eq!(outcome2, RewriteOutcome::NotRewritable);
     }
 
@@ -218,7 +221,7 @@ mod tests {
         let positive = set(&mut s1, "true -> exists u : P(u). P(x) -> Q(x).");
         let q = s1.pred_id("Q").unwrap();
         let reduction = fg_entailment_to_guarded_rewritability(&positive, q).unwrap();
-        let outcome = frontier_guarded_to_guarded(&reduction.sigma_prime, &opts(2));
+        let outcome = decide(&reduction.sigma_prime, RewriteTarget::Guarded, &opts(2));
         assert!(
             matches!(outcome, RewriteOutcome::Rewritten(_)),
             "positive instance must be guardable, got {outcome:?}"
@@ -228,7 +231,7 @@ mod tests {
         let negative = set(&mut s2, "P(x) -> Q(x).");
         let q2 = s2.pred_id("Q").unwrap();
         let reduction2 = fg_entailment_to_guarded_rewritability(&negative, q2).unwrap();
-        let outcome2 = frontier_guarded_to_guarded(&reduction2.sigma_prime, &opts(8));
+        let outcome2 = decide(&reduction2.sigma_prime, RewriteTarget::Guarded, &opts(8));
         assert_eq!(outcome2, RewriteOutcome::NotRewritable);
     }
 

@@ -27,17 +27,15 @@
 //! definitive [`RewriteOutcome::NotRewritable`].
 
 use crate::checkpoint::{keys_fingerprint, RewriteCheckpoint};
-use crate::enumerate::{
-    guarded_candidates_governed, linear_candidates_governed, EnumOptions, Enumeration,
-};
+use crate::enumerate::{candidates, EnumOptions, Enumeration};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use tgdkit_chase::faults::INJECTED_PANIC;
 use tgdkit_chase::{
-    entails_all_cached_governed, entails_auto_cached_governed, evaluate_group, group_by_body,
-    group_by_body_keyed, sigma_fingerprint, tgds_fingerprint, CancelToken, ChaseBudget,
-    CheckpointError, EntailBatchStats, EntailCache, Entailment, FaultSite, MemoryAccountant,
+    entails_all, entails_auto, evaluate_group, group_by_body, group_by_body_keyed,
+    sigma_fingerprint, tgds_fingerprint, CancelToken, ChaseBudget, CheckpointError,
+    EntailBatchStats, EntailCache, Entailment, FaultSite, MemoryAccountant, Run,
 };
 use tgdkit_logic::{Schema, Tgd, TgdSet, TgdVariantKey};
 
@@ -72,10 +70,9 @@ pub enum RewriteOutcome {
     Cancelled,
     /// The run suspended on its memory budget
     /// ([`ChaseBudget::max_bytes`], or an injected
-    /// [`FaultSite::MemBudgetTrip`]) at a body-group boundary. Only the
-    /// checkpointing entry points ([`guarded_to_linear_checkpointing`] /
-    /// [`frontier_guarded_to_guarded_checkpointing`]) report this; they
-    /// return the [`RewriteCheckpoint`] that resumes the run alongside.
+    /// [`FaultSite::MemBudgetTrip`]) or its suspension quantum at a
+    /// body-group boundary. Only a checkpointing [`rewrite`] reports this;
+    /// it returns the [`RewriteCheckpoint`] that resumes the run alongside.
     Suspended,
 }
 
@@ -128,8 +125,8 @@ pub struct RewriteStats {
     /// contained, via [`tgdkit_chase::ChaseStats::panics_contained`]).
     pub panics_contained: usize,
     /// Peak estimated resident bytes observed by the memory accounting
-    /// (chase arenas; for the checkpointing entry points, also entailment
-    /// cache residency at group boundaries).
+    /// (chase arenas; for a checkpointing run, also entailment cache
+    /// residency at group boundaries).
     pub mem_peak_bytes: usize,
     /// Memory-budget trips (real or injected) during the run.
     pub mem_trips: usize,
@@ -146,232 +143,248 @@ pub struct RewriteStats {
     pub minimize_checks: usize,
 }
 
-/// Algorithm 1 (paper §9.2, `G-to-L`): rewrites a set of **guarded** tgds
-/// into an equivalent set of **linear** tgds, if one exists.
+/// Which rewriting procedure runs, named by its target class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RewriteTarget {
+    /// Algorithm 1 (paper §9.2, `G-to-L`, Theorem 9.1): rewrites a set of
+    /// **guarded** tgds into an equivalent set of **linear** tgds.
+    Linear,
+    /// Algorithm 2 (paper §9.2, `FG-to-G`, Theorem 9.2): rewrites a set of
+    /// **frontier-guarded** tgds into an equivalent set of **guarded**
+    /// tgds.
+    Guarded,
+}
+
+impl RewriteTarget {
+    /// The one-byte tag the wire protocol and the rewrite checkpoint frame
+    /// carry: `1` linear, `2` guarded.
+    pub fn tag(self) -> u8 {
+        match self {
+            RewriteTarget::Linear => 1,
+            RewriteTarget::Guarded => 2,
+        }
+    }
+
+    /// Inverse of [`RewriteTarget::tag`]; any other byte is
+    /// [`CheckpointError::Malformed`].
+    pub fn from_tag(tag: u8) -> Result<RewriteTarget, CheckpointError> {
+        match tag {
+            1 => Ok(RewriteTarget::Linear),
+            2 => Ok(RewriteTarget::Guarded),
+            _ => Err(CheckpointError::Malformed("rewrite target tag")),
+        }
+    }
+}
+
+/// What [`rewrite`] returns: the outcome, the run's statistics, and — for a
+/// checkpointing run that suspended — the checkpoint that resumes it.
+pub type RewriteRun = (RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>);
+
+/// Algorithms 1 and 2 of paper §9.2 under a [`Run`] context: rewrites
+/// `set` into an equivalent set of the `target` class, if one exists.
 ///
 /// ```
+/// use tgdkit_chase::Run;
+/// use tgdkit_core::{rewrite, RewriteOptions, RewriteOutcome, RewriteTarget};
 /// use tgdkit_logic::{parse_tgds, Schema, TgdSet};
-/// use tgdkit_core::{guarded_to_linear, RewriteOptions, RewriteOutcome};
 /// let mut schema = Schema::default();
 /// // A guarded set whose side atom R(x,x) is semantically redundant (the
 /// // second rule subsumes the first), so a linear equivalent exists.
 /// let tgds = parse_tgds(&mut schema, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).").unwrap();
 /// let set = TgdSet::new(schema, tgds).unwrap();
-/// let outcome = guarded_to_linear(&set, &RewriteOptions::default());
+/// let opts = RewriteOptions::default();
+/// let (outcome, stats, _) = rewrite(&Run::default(), &set, RewriteTarget::Linear, &opts, None)
+///     .expect("a fresh run has no checkpoint to mismatch");
 /// assert!(matches!(outcome, RewriteOutcome::Rewritten(_)));
+/// assert_eq!(stats.rewriting_size, 1);
 /// ```
-pub fn guarded_to_linear(set: &TgdSet, opts: &RewriteOptions) -> RewriteOutcome {
-    rewrite(set, opts, Target::Linear, &CancelToken::new()).0
-}
-
-/// Algorithm 2 (paper §9.2, `FG-to-G`): rewrites a set of
-/// **frontier-guarded** tgds into an equivalent set of **guarded** tgds, if
-/// one exists.
-pub fn frontier_guarded_to_guarded(set: &TgdSet, opts: &RewriteOptions) -> RewriteOutcome {
-    rewrite(set, opts, Target::Guarded, &CancelToken::new()).0
-}
-
-/// [`guarded_to_linear`] under a [`CancelToken`]: a deadline expiry or an
-/// explicit [`CancelToken::cancel`] stops the run cooperatively (within one
-/// chase round / one body group) and yields [`RewriteOutcome::Cancelled`]
-/// with the statistics of the work completed so far.
 ///
-/// ```
-/// use std::time::Duration;
-/// use tgdkit_chase::CancelToken;
-/// use tgdkit_core::{guarded_to_linear_governed, RewriteOptions, RewriteOutcome};
-/// use tgdkit_logic::{parse_tgds, Schema, TgdSet};
-/// let mut schema = Schema::default();
-/// let tgds = parse_tgds(&mut schema, "R(x,y), R(x,x) -> T(x).").unwrap();
-/// let set = TgdSet::new(schema, tgds).unwrap();
-/// let token = CancelToken::new();
-/// token.cancel(); // already expired: the run must stop immediately
-/// let (outcome, stats) = guarded_to_linear_governed(&set, &RewriteOptions::default(), &token);
-/// assert_eq!(outcome, RewriteOutcome::Cancelled);
-/// assert!(stats.cancelled);
-/// ```
-pub fn guarded_to_linear_governed(
+/// - **Cancellation.** A deadline expiry or an explicit
+///   [`CancelToken::cancel`] of `run.token` stops the run cooperatively
+///   (within one chase round / one body group) and yields
+///   [`RewriteOutcome::Cancelled`] with the statistics of the work
+///   completed so far:
+///
+///   ```
+///   use tgdkit_chase::{CancelToken, Run};
+///   use tgdkit_core::{rewrite, RewriteOptions, RewriteOutcome, RewriteTarget};
+///   use tgdkit_logic::{parse_tgds, Schema, TgdSet};
+///   let mut schema = Schema::default();
+///   let tgds = parse_tgds(&mut schema, "R(x,y), R(x,x) -> T(x).").unwrap();
+///   let set = TgdSet::new(schema, tgds).unwrap();
+///   let token = CancelToken::new();
+///   token.cancel(); // already expired: the run must stop immediately
+///   let run = Run { token, ..Run::default() };
+///   let (outcome, stats, _) =
+///       rewrite(&run, &set, RewriteTarget::Linear, &RewriteOptions::default(), None).unwrap();
+///   assert_eq!(outcome, RewriteOutcome::Cancelled);
+///   assert!(stats.cancelled);
+///   ```
+/// - **Cache.** `run.cache` lets repeated rewrites (equivalent inputs, warm
+///   reruns, expressibility sweeps) reuse entailment verdicts across
+///   calls; without one the run uses a fresh cache of its own. Verdicts
+///   decided before a cancellation are cached (and sound);
+///   cancellation-induced `Unknown`s are not persisted, so a warm rerun
+///   with a fresh token re-decides them.
+/// - **Checkpoints.** With `run.checkpoint` the candidate filtering charges
+///   estimated resident memory (entailment cache bytes + peak chase arena)
+///   against [`ChaseBudget::max_bytes`] at every body-group boundary, and a
+///   trip — real, or injected at [`FaultSite::MemBudgetTrip`] — or a due
+///   [`CancelToken::should_suspend`] suspends the run as
+///   [`RewriteOutcome::Suspended`] with a [`RewriteCheckpoint`] capturing
+///   the verdict slots and group progress so far. Checkpointing pins the
+///   **serial** evaluator (`opts.parallel` is ignored): group completion
+///   order must be deterministic for the done flags to mean the same
+///   thing on resume, and the serial and parallel evaluators are
+///   verdict-identical anyway. The decision tail after filtering (the
+///   forward pass, `K ⊨ Σ`, the backward pass; see the module docs) runs
+///   without suspension points: it checks each member of `Σ'` against the
+///   small kept set `K` only, a fraction of the sweep's cost.
+/// - **Resume.** Started from `resume` — with the same budget after an
+///   injected trip or a quantum, or a larger `max_bytes` (or a smaller
+///   cache) after a real one — the run finishes with an outcome identical
+///   to an uninterrupted run's. A resumed run always checkpoints. `set`,
+///   `target` and `opts.enumeration` must be the ones the checkpoint was
+///   taken under: resume re-enumerates the candidate space (deterministic)
+///   and validates the target class, the input-set and enumeration
+///   fingerprints, and the slot counts; any mismatch is a typed
+///   [`CheckpointError::ContextMismatch`], never a wrong answer.
+///   `opts.budget` is absolute, not incremental. A fresh start never
+///   fails, and neither does a resume under an already cancelled token:
+///   its cut enumeration cannot be matched, so it reports `Cancelled`.
+pub fn rewrite(
+    run: &Run,
     set: &TgdSet,
+    target: RewriteTarget,
     opts: &RewriteOptions,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Linear, token)
+    resume: Option<&RewriteCheckpoint>,
+) -> Result<RewriteRun, CheckpointError> {
+    let checkpointing = run.checkpoint || resume.is_some();
+    // Fresh per-run cache when the run shares none: the decision tail asks
+    // about rule sets the sweep never did, so it rarely hits within one
+    // run; callers wanting cross-run reuse put theirs in `run.cache`.
+    let fresh;
+    let cache = match run.cache {
+        Some(cache) => cache,
+        None => {
+            fresh = EntailCache::new();
+            &fresh
+        }
+    };
+    let run = &Run {
+        cache: Some(cache),
+        ..run.clone()
+    };
+    let schema = set.schema();
+    let (n, m) = set.profile();
+    let enumeration = candidates(run, schema, target, n, m, &opts.enumeration);
+    let mut stats = RewriteStats {
+        candidates: enumeration.tgds.len(),
+        exhaustive: enumeration.exhaustive,
+        ..Default::default()
+    };
+    if resume.is_some() && run.token.is_cancelled() {
+        // A cut enumeration cannot be matched against the checkpoint, and
+        // the run is cancelled either way.
+        stats.cancelled = true;
+        return Ok((RewriteOutcome::Cancelled, stats, None));
+    }
+
+    // Σ' := { σ ∈ C_{n,m} | Σ ⊨ σ }.
+    let verdicts = if checkpointing {
+        let (verdicts, suspended) = sweep_resumable(
+            run,
+            set,
+            opts,
+            target,
+            &enumeration,
+            cache,
+            resume,
+            &mut stats,
+        )?;
+        if suspended.is_some() {
+            return Ok((RewriteOutcome::Suspended, stats, suspended));
+        }
+        verdicts
+    } else {
+        let eval = evaluate_candidates(
+            schema,
+            set.tgds(),
+            &enumeration.tgds,
+            Some(&enumeration.keys),
+            opts.budget,
+            opts.parallel,
+            cache,
+            &run.token,
+        );
+        record_filtering(&mut stats, &eval.stats, eval.panics_contained);
+        stats.steals = eval.steals;
+        eval.verdicts
+    };
+    let (outcome, stats) = conclude(run, set, opts, &enumeration, &verdicts, stats);
+    Ok((outcome, stats, None))
 }
 
-/// [`frontier_guarded_to_guarded`] under a [`CancelToken`]; see
-/// [`guarded_to_linear_governed`].
-pub fn frontier_guarded_to_guarded_governed(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Guarded, token)
+/// Copies the candidate filtering's counters into the run's statistics.
+fn record_filtering(stats: &mut RewriteStats, batch: &EntailBatchStats, group_panics: usize) {
+    stats.body_groups = batch.body_groups;
+    stats.bodies_chased = batch.bodies_chased;
+    stats.heads_probed = batch.heads_probed;
+    stats.cache_hits = batch.cache_hits;
+    stats.cache_misses = batch.cache_misses;
+    stats.panics_contained = group_panics + batch.chase.panics_contained;
+    stats.mem_peak_bytes = batch.chase.mem_peak_bytes;
+    stats.mem_trips = batch.chase.mem_trips;
+    stats.resumes = batch.chase.resumes;
+    stats.evictions = batch.evictions;
 }
 
-/// [`guarded_to_linear`] with run statistics.
-pub fn guarded_to_linear_with_stats(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Linear, &CancelToken::new())
-}
-
-/// [`frontier_guarded_to_guarded`] with run statistics.
-pub fn frontier_guarded_to_guarded_with_stats(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Guarded, &CancelToken::new())
-}
-
-/// [`guarded_to_linear_with_stats`] against a caller-provided
-/// [`EntailCache`], so repeated rewrites (equivalent inputs, warm reruns,
-/// expressibility sweeps) reuse entailment verdicts across calls.
+/// Algorithm 1 against a caller-provided [`EntailCache`]: [`rewrite`] with
+/// [`RewriteTarget::Linear`] and the cache in the [`Run`].
 pub fn guarded_to_linear_cached(
     set: &TgdSet,
     opts: &RewriteOptions,
     cache: &EntailCache,
 ) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Linear, cache, &CancelToken::new())
+    rewrite_with_cache(set, RewriteTarget::Linear, opts, cache)
 }
 
-/// [`frontier_guarded_to_guarded_with_stats`] against a caller-provided
-/// [`EntailCache`].
+/// Algorithm 2 against a caller-provided [`EntailCache`]: [`rewrite`] with
+/// [`RewriteTarget::Guarded`] and the cache in the [`Run`].
 pub fn frontier_guarded_to_guarded_cached(
     set: &TgdSet,
     opts: &RewriteOptions,
     cache: &EntailCache,
 ) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Guarded, cache, &CancelToken::new())
+    rewrite_with_cache(set, RewriteTarget::Guarded, opts, cache)
 }
 
-/// [`guarded_to_linear_cached`] under a [`CancelToken`]. Verdicts decided
-/// before the cut are cached (and sound); cancellation-induced `Unknown`s
-/// are not persisted, so a warm rerun with a fresh token re-decides them.
-pub fn guarded_to_linear_cached_governed(
+fn rewrite_with_cache(
     set: &TgdSet,
+    target: RewriteTarget,
     opts: &RewriteOptions,
     cache: &EntailCache,
-    token: &CancelToken,
 ) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Linear, cache, token)
+    let run = Run {
+        cache: Some(cache),
+        ..Run::default()
+    };
+    let (outcome, stats, _) =
+        rewrite(&run, set, target, opts, None).expect("a fresh run has no checkpoint to mismatch");
+    (outcome, stats)
 }
 
-/// [`frontier_guarded_to_guarded_cached`] under a [`CancelToken`]; see
-/// [`guarded_to_linear_cached_governed`].
-pub fn frontier_guarded_to_guarded_cached_governed(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Guarded, cache, token)
-}
-
-/// [`guarded_to_linear_cached_governed`] with **suspend/resume support**:
-/// the candidate filtering charges estimated resident memory (entailment
-/// cache bytes + peak chase arena) against [`ChaseBudget::max_bytes`] at
-/// every body-group boundary, and a trip — real, or injected at
-/// [`FaultSite::MemBudgetTrip`] — suspends the run as
-/// [`RewriteOutcome::Suspended`] with a [`RewriteCheckpoint`] capturing
-/// the verdict slots and group progress so far.
-///
-/// Checkpointing pins the **serial** evaluator (`opts.parallel` is
-/// ignored): group completion order must be deterministic for the done
-/// flags to mean the same thing on resume, and the serial and parallel
-/// evaluators are verdict-identical anyway. The decision tail after
-/// filtering (the forward pass, `K ⊨ Σ`, the backward pass; see the module
-/// docs) runs without suspension points: it checks each member of `Σ'`
-/// against the small kept set `K` only, a fraction of the sweep's cost.
-///
-/// Feeding the checkpoint to [`guarded_to_linear_resume`] — with the same
-/// budget after an injected trip, or a larger `max_bytes` (or a smaller
-/// cache) after a real one — finishes the run with an outcome identical
-/// to an uninterrupted run's. A run that completes (or is merely
-/// cancelled) returns no checkpoint.
-pub fn guarded_to_linear_checkpointing(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>) {
-    rewrite_checkpointed(set, opts, Target::Linear, cache, token, None)
-        .expect("fresh runs have no checkpoint to mismatch")
-}
-
-/// [`guarded_to_linear_checkpointing`] for Algorithm 2 (`FG-to-G`).
-pub fn frontier_guarded_to_guarded_checkpointing(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>) {
-    rewrite_checkpointed(set, opts, Target::Guarded, cache, token, None)
-        .expect("fresh runs have no checkpoint to mismatch")
-}
-
-/// Resumes a suspended [`guarded_to_linear_checkpointing`] run.
-///
-/// `set` and `opts.enumeration` must be the ones the checkpoint was taken
-/// under — resume re-enumerates the candidate space (deterministic) and
-/// validates the input-set and enumeration fingerprints, the target
-/// class, and the slot counts; any mismatch is a typed
-/// [`CheckpointError::ContextMismatch`], never a wrong answer.
-/// `opts.budget` is absolute, not incremental.
-pub fn guarded_to_linear_resume(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    checkpoint: &RewriteCheckpoint,
-    token: &CancelToken,
-) -> Result<(RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>), CheckpointError> {
-    rewrite_checkpointed(set, opts, Target::Linear, cache, token, Some(checkpoint))
-}
-
-/// Resumes a suspended [`frontier_guarded_to_guarded_checkpointing`] run;
-/// see [`guarded_to_linear_resume`].
-pub fn frontier_guarded_to_guarded_resume(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    checkpoint: &RewriteCheckpoint,
-    token: &CancelToken,
-) -> Result<(RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>), CheckpointError> {
-    rewrite_checkpointed(set, opts, Target::Guarded, cache, token, Some(checkpoint))
-}
-
-/// Filters an explicit candidate pool through the evaluator the rewriting
-/// procedures use internally: body-grouped chase sharing, the entailment
-/// cache, and (when `parallel`) work stealing over the body groups.
+/// Filters an enumerator-produced candidate pool through the evaluator
+/// the rewriting procedures use internally: body-grouped chase sharing,
+/// the entailment cache, and (when `parallel`) work stealing over the body
+/// groups. `keys` are the candidates' variant keys (parallel to
+/// `candidates`, as in
+/// [`Enumeration::keys`](crate::enumerate::Enumeration)), so body-grouping
+/// reuses them instead of re-running the canonical ordering search per
+/// candidate.
 ///
 /// Exposed for bulk entailment filtering and benchmarking; returns
 /// `(verdicts in candidate order, batch stats, steals)`.
-pub fn evaluate_pool(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    parallel: bool,
-    cache: &EntailCache,
-) -> (Vec<Entailment>, EntailBatchStats, usize) {
-    let eval = evaluate_candidates(
-        schema,
-        sigma,
-        candidates,
-        None,
-        budget,
-        parallel,
-        cache,
-        &CancelToken::new(),
-    );
-    (eval.verdicts, eval.stats, eval.steals)
-}
-
-/// [`evaluate_pool`] for an enumerator-produced pool: `keys` are the
-/// candidates' variant keys (parallel to `candidates`, as in
-/// [`Enumeration::keys`](crate::enumerate::Enumeration)), so body-grouping
-/// reuses them instead of re-running the canonical ordering search per
-/// candidate. Verdicts are identical to [`evaluate_pool`].
 pub fn evaluate_pool_keyed(
     schema: &Schema,
     sigma: &[Tgd],
@@ -394,123 +407,34 @@ pub fn evaluate_pool_keyed(
     (eval.verdicts, eval.stats, eval.steals)
 }
 
-/// [`evaluate_pool`] under a [`CancelToken`]: cancellation stops the sweep
-/// at the next group boundary (remaining candidates settle as `Unknown`),
-/// and a panic inside one group's evaluation is contained to that group.
-pub fn evaluate_pool_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    parallel: bool,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> PoolEval {
-    evaluate_candidates(
-        schema, sigma, candidates, None, budget, parallel, cache, token,
-    )
-}
-
-/// Result of [`evaluate_pool_governed`] / the internal candidate evaluator.
+/// Result of the internal candidate evaluator.
 #[derive(Debug, Default)]
-pub struct PoolEval {
+struct PoolEval {
     /// One verdict per candidate, in input order.
-    pub verdicts: Vec<Entailment>,
+    verdicts: Vec<Entailment>,
     /// Sharing/caching counters for the sweep.
-    pub stats: EntailBatchStats,
+    stats: EntailBatchStats,
     /// Work-stealing imbalance (see [`RewriteStats::steals`]).
-    pub steals: usize,
+    steals: usize,
     /// Body groups whose evaluation panicked and was contained; their
     /// candidates report `Unknown`.
-    pub panics_contained: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Target {
-    Linear,
-    Guarded,
-}
-
-fn enumerate(
-    schema: &Schema,
-    n: usize,
-    m: usize,
-    opts: &RewriteOptions,
-    target: Target,
-    token: &CancelToken,
-) -> Enumeration {
-    match target {
-        Target::Linear => linear_candidates_governed(schema, n, m, &opts.enumeration, token),
-        Target::Guarded => guarded_candidates_governed(schema, n, m, &opts.enumeration, token),
-    }
-}
-
-fn rewrite(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    target: Target,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    // Fresh per-run cache: the decision tail asks about rule sets the
-    // sweep never did, so it rarely hits within one run; callers wanting
-    // cross-run reuse pass their own via the `_cached` entry points.
-    let cache = EntailCache::new();
-    rewrite_cached(set, opts, target, &cache, token)
-}
-
-fn rewrite_cached(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    target: Target,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    let schema = set.schema();
-    let (n, m) = set.profile();
-    let enumeration = enumerate(schema, n, m, opts, target, token);
-    let mut stats = RewriteStats {
-        candidates: enumeration.tgds.len(),
-        exhaustive: enumeration.exhaustive,
-        ..Default::default()
-    };
-
-    // Σ' := { σ ∈ C_{n,m} | Σ ⊨ σ }.
-    let eval = evaluate_candidates(
-        schema,
-        set.tgds(),
-        &enumeration.tgds,
-        Some(&enumeration.keys),
-        opts.budget,
-        opts.parallel,
-        cache,
-        token,
-    );
-    stats.body_groups = eval.stats.body_groups;
-    stats.bodies_chased = eval.stats.bodies_chased;
-    stats.heads_probed = eval.stats.heads_probed;
-    stats.cache_hits = eval.stats.cache_hits;
-    stats.cache_misses = eval.stats.cache_misses;
-    stats.steals = eval.steals;
-    stats.panics_contained = eval.panics_contained + eval.stats.chase.panics_contained;
-    stats.mem_peak_bytes = eval.stats.chase.mem_peak_bytes;
-    stats.mem_trips = eval.stats.chase.mem_trips;
-    stats.evictions = eval.stats.evictions;
-    conclude(set, opts, &enumeration, &eval.verdicts, stats, cache, token)
+    panics_contained: usize,
 }
 
 /// The decision tail shared by the plain and checkpointing procedures:
 /// builds `Σ' = {σ | Σ ⊨ σ}` from the verdict slots, reduces it to the kept
 /// set `K ≡ Σ'` ([`forward_pass`]), then answers *rewritable* iff `K ⊨ Σ`,
-/// making `K` irredundant on success ([`backward_pass`]).
+/// making `K` irredundant on success ([`backward_pass`]). Every check goes
+/// through `run.cache`.
 fn conclude(
+    run: &Run,
     set: &TgdSet,
     opts: &RewriteOptions,
     enumeration: &Enumeration,
     verdicts: &[Entailment],
     mut stats: RewriteStats,
-    cache: &EntailCache,
-    token: &CancelToken,
 ) -> (RewriteOutcome, RewriteStats) {
+    let token = &run.token;
     let schema = set.schema();
     let mut sigma_prime: Vec<Tgd> = Vec::new();
     for (candidate, verdict) in enumeration.tgds.iter().zip(verdicts) {
@@ -531,11 +455,11 @@ fn conclude(
         return (negative(&stats, enumeration), stats);
     }
     let started = Instant::now();
-    let (kept, checks) = forward_pass(schema, sigma_prime, opts.budget, cache, token);
+    let (kept, checks) = forward_pass(run, schema, sigma_prime, opts.budget);
     stats.minimize_time = started.elapsed();
     stats.minimize_checks = checks;
     let started = Instant::now();
-    let verdict = entails_all_cached_governed(schema, &kept, set.tgds(), opts.budget, cache, token);
+    let (verdict, _) = entails_all(run, schema, &kept, set.tgds(), opts.budget);
     stats.verify_time = started.elapsed();
     match verdict {
         Entailment::Proved => {
@@ -543,7 +467,7 @@ fn conclude(
             // pruning early: K is still a correct rewriting, so the outcome
             // stays `Rewritten` (with `stats.cancelled` set).
             let started = Instant::now();
-            let (minimized, checks) = backward_pass(schema, kept, opts.budget, cache, token);
+            let (minimized, checks) = backward_pass(run, schema, kept, opts.budget);
             stats.minimize_time += started.elapsed();
             stats.minimize_checks += checks;
             stats.rewriting_size = minimized.len();
@@ -562,33 +486,28 @@ fn conclude(
     }
 }
 
-fn target_tag(target: Target) -> u8 {
-    match target {
-        Target::Linear => 1,
-        Target::Guarded => 2,
-    }
-}
-
-/// The checkpointing rewrite: a serial, resumable candidate filtering
-/// sweep with memory charging at group boundaries, then the shared
-/// decision tail. `resume` restores verdict slots and group progress from
-/// a prior suspension after validating it belongs to this exact run.
-fn rewrite_checkpointed(
+/// The candidate filtering of a checkpointing [`rewrite`]: a serial sweep
+/// over the body groups, started fresh or from `resume` (validated against
+/// the re-enumerated space), that suspends at a group boundary on a memory
+/// trip or a due quantum. Returns the verdict slots, and the checkpoint
+/// when it suspended. `run.cache` is `Some(cache)`.
+#[allow(clippy::too_many_arguments)]
+fn sweep_resumable(
+    run: &Run,
     set: &TgdSet,
     opts: &RewriteOptions,
-    target: Target,
+    target: RewriteTarget,
+    enumeration: &Enumeration,
     cache: &EntailCache,
-    token: &CancelToken,
     resume: Option<&RewriteCheckpoint>,
-) -> Result<(RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>), CheckpointError> {
-    let schema = set.schema();
-    let (n, m) = set.profile();
-    let enumeration = enumerate(schema, n, m, opts, target, token);
+    stats: &mut RewriteStats,
+) -> Result<(Vec<Entailment>, Option<Box<RewriteCheckpoint>>), CheckpointError> {
+    let token = &run.token;
     let sigma_fp = tgds_fingerprint(set.tgds());
     let enum_fp = keys_fingerprint(&enumeration.keys);
     let groups = group_by_body_keyed(&enumeration.tgds, &enumeration.keys);
     if let Some(cp) = resume {
-        if cp.target != target_tag(target) {
+        if cp.target != target {
             return Err(CheckpointError::ContextMismatch("rewrite target class"));
         }
         if cp.sigma_fp != sigma_fp {
@@ -601,11 +520,6 @@ fn rewrite_checkpointed(
             return Err(CheckpointError::ContextMismatch("body-group count"));
         }
     }
-    let mut stats = RewriteStats {
-        candidates: enumeration.tgds.len(),
-        exhaustive: enumeration.exhaustive,
-        ..Default::default()
-    };
     let (mut batch, mut verdicts, mut done, mut panics, mut tainted) = match resume {
         Some(cp) => {
             let mut batch = cp.stats;
@@ -654,7 +568,7 @@ fn rewrite_checkpointed(
             break;
         }
         match evaluate_group_contained(
-            schema,
+            set.schema(),
             set.tgds(),
             group,
             opts.budget,
@@ -673,32 +587,22 @@ fn rewrite_checkpointed(
     }
     batch.evictions += cache.evictions().saturating_sub(evictions_before);
     tainted = tainted || token.is_tainted();
-    stats.body_groups = batch.body_groups;
-    stats.bodies_chased = batch.bodies_chased;
-    stats.heads_probed = batch.heads_probed;
-    stats.cache_hits = batch.cache_hits;
-    stats.cache_misses = batch.cache_misses;
-    stats.panics_contained = panics + batch.chase.panics_contained;
-    stats.mem_peak_bytes = batch.chase.mem_peak_bytes.max(accountant.peak_bytes());
-    stats.mem_trips = batch.chase.mem_trips;
-    stats.resumes = batch.chase.resumes;
-    stats.evictions = batch.evictions;
-    if suspended {
-        let checkpoint = Box::new(RewriteCheckpoint {
-            target: target_tag(target),
+    record_filtering(stats, &batch, panics);
+    stats.mem_peak_bytes = stats.mem_peak_bytes.max(accountant.peak_bytes());
+    let checkpoint = suspended.then(|| {
+        Box::new(RewriteCheckpoint {
+            target,
             sigma_fp,
             enum_fp,
             exhaustive: enumeration.exhaustive,
             done,
-            verdicts,
+            verdicts: verdicts.clone(),
             stats: batch,
             panics_contained: panics,
             cache_tainted: tainted,
-        });
-        return Ok((RewriteOutcome::Suspended, stats, Some(checkpoint)));
-    }
-    let (outcome, stats) = conclude(set, opts, &enumeration, &verdicts, stats, cache, token);
-    Ok((outcome, stats, None))
+        })
+    });
+    Ok((verdicts, checkpoint))
 }
 
 fn negative(stats: &RewriteStats, enumeration: &Enumeration) -> RewriteOutcome {
@@ -718,24 +622,21 @@ fn negative(stats: &RewriteStats, enumeration: &Enumeration) -> RewriteOutcome {
 /// simplified input, so `K` is equivalent to `tgds`. Cancellation appends
 /// every member not yet examined to `K`, which keeps that equivalence.
 pub(crate) fn forward_pass(
+    run: &Run,
     schema: &Schema,
     tgds: Vec<Tgd>,
     budget: ChaseBudget,
-    cache: &EntailCache,
-    token: &CancelToken,
 ) -> (Vec<Tgd>, usize) {
     let mut kept: Vec<Tgd> = Vec::new();
     let mut checks = 0usize;
     let mut simplified = tgds.iter().filter_map(tgdkit_logic::simplify_tgd);
     for candidate in simplified.by_ref() {
-        if token.is_cancelled() {
+        if run.token.is_cancelled() {
             kept.push(candidate);
             break;
         }
         checks += 1;
-        if entails_auto_cached_governed(schema, &kept, &candidate, budget, cache, token)
-            != Entailment::Proved
-        {
+        if entails_auto(run, schema, &kept, &candidate, budget).0 != Entailment::Proved {
             kept.push(candidate);
         }
     }
@@ -753,24 +654,21 @@ pub(crate) fn forward_pass(
 /// shrink that set. Cancellation stops the pass early; the survivors still
 /// form a correct, merely less minimal, set.
 pub(crate) fn backward_pass(
+    run: &Run,
     schema: &Schema,
     mut tgds: Vec<Tgd>,
     budget: ChaseBudget,
-    cache: &EntailCache,
-    token: &CancelToken,
 ) -> (Vec<Tgd>, usize) {
     let mut checks = 0usize;
     let mut i = tgds.len();
     while i > 0 {
-        if token.is_cancelled() {
+        if run.token.is_cancelled() {
             break;
         }
         i -= 1;
         let candidate = tgds.remove(i);
         checks += 1;
-        if entails_auto_cached_governed(schema, &tgds, &candidate, budget, cache, token)
-            != Entailment::Proved
-        {
+        if entails_auto(run, schema, &tgds, &candidate, budget).0 != Entailment::Proved {
             tgds.insert(i, candidate);
         }
     }
@@ -1010,6 +908,20 @@ mod tests {
         TgdSet::new(s.clone(), tgds).unwrap()
     }
 
+    /// Algorithm 1 under a default run.
+    fn linear(set: &TgdSet, opts: &RewriteOptions) -> (RewriteOutcome, RewriteStats) {
+        let (outcome, stats, _) =
+            rewrite(&Run::default(), set, RewriteTarget::Linear, opts, None).unwrap();
+        (outcome, stats)
+    }
+
+    /// Algorithm 2 under a default run.
+    fn guarded(set: &TgdSet, opts: &RewriteOptions) -> (RewriteOutcome, RewriteStats) {
+        let (outcome, stats, _) =
+            rewrite(&Run::default(), set, RewriteTarget::Guarded, opts, None).unwrap();
+        (outcome, stats)
+    }
+
     fn assert_equivalent(schema: &Schema, a: &[Tgd], b: &[Tgd]) {
         assert_eq!(
             equivalent(schema, a, b, ChaseBudget::default()),
@@ -1024,7 +936,7 @@ mod tests {
         // The side atom R(x,x) is subsumed whenever the second rule fires:
         // Σ ≡ { R(x,y) -> T(x) }.
         let sigma = set(&mut s, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).");
-        let outcome = guarded_to_linear(&sigma, &RewriteOptions::default());
+        let outcome = linear(&sigma, &RewriteOptions::default()).0;
         let rewriting = outcome.rewriting().expect("rewritable");
         assert!(rewriting.iter().all(Tgd::is_linear));
         assert_equivalent(&s, sigma.tgds(), rewriting);
@@ -1042,7 +954,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let outcome = guarded_to_linear(&sigma, &opts);
+        let outcome = linear(&sigma, &opts).0;
         assert_eq!(outcome, RewriteOutcome::NotRewritable);
     }
 
@@ -1050,7 +962,7 @@ mod tests {
     fn already_linear_sets_roundtrip() {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y) -> exists z : R(y,z).");
-        let outcome = guarded_to_linear(&sigma, &RewriteOptions::default());
+        let outcome = linear(&sigma, &RewriteOptions::default()).0;
         let rewriting = outcome.rewriting().expect("linear input stays linear");
         assert_equivalent(&s, sigma.tgds(), rewriting);
     }
@@ -1067,7 +979,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let outcome = frontier_guarded_to_guarded(&sigma, &opts);
+        let outcome = guarded(&sigma, &opts).0;
         assert_eq!(outcome, RewriteOutcome::NotRewritable);
     }
 
@@ -1079,7 +991,7 @@ mod tests {
         // the second rule makes every R-source P.
         let sigma = set(&mut s, "R(x,y) -> P(x). R(x,y), P(x) -> T(x).");
         // Σ ≡ { R(x,y) -> P(x), R(x,y) -> T(x) }: guarded (even linear).
-        let outcome = frontier_guarded_to_guarded(&sigma, &RewriteOptions::default());
+        let outcome = guarded(&sigma, &RewriteOptions::default()).0;
         let rewriting = outcome.rewriting().expect("rewritable");
         assert!(rewriting.iter().all(Tgd::is_guarded));
         assert_equivalent(&s, sigma.tgds(), rewriting);
@@ -1089,14 +1001,15 @@ mod tests {
     fn parallel_matches_sequential() {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).");
-        let seq = guarded_to_linear(&sigma, &RewriteOptions::default());
-        let par = guarded_to_linear(
+        let seq = linear(&sigma, &RewriteOptions::default()).0;
+        let par = linear(
             &sigma,
             &RewriteOptions {
                 parallel: true,
                 ..Default::default()
             },
-        );
+        )
+        .0;
         // The work-stealing evaluator publishes verdicts into per-candidate
         // slots, so the rewriting must be *identical* to the serial one, not
         // merely equivalent.
@@ -1109,7 +1022,7 @@ mod tests {
     fn sharing_and_cache_counters_are_populated() {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).");
-        let (outcome, stats) = guarded_to_linear_with_stats(
+        let (outcome, stats) = linear(
             &sigma,
             &RewriteOptions {
                 parallel: true,
@@ -1146,7 +1059,7 @@ mod tests {
     fn stats_are_populated() {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y) -> T(x).");
-        let (outcome, stats) = guarded_to_linear_with_stats(&sigma, &RewriteOptions::default());
+        let (outcome, stats) = linear(&sigma, &RewriteOptions::default());
         assert!(matches!(outcome, RewriteOutcome::Rewritten(_)));
         assert!(stats.candidates > 0);
         assert!(stats.entailed > 0);
@@ -1154,6 +1067,53 @@ mod tests {
         // The forward pass checks every simplified member of Σ' once, the
         // backward pass every member it kept.
         assert!(stats.minimize_checks >= 2 * stats.rewriting_size);
+    }
+
+    #[test]
+    fn rewrite_resume_rejects_wrong_context() {
+        let mut s = Schema::default();
+        let sigma = set(&mut s, "R(x,y), R(x,x) -> T(x).");
+        let other = set(&mut s, "R(x,y), R(y,y) -> T(y).");
+        let opts = RewriteOptions::default();
+        let suspending = Run {
+            token: CancelToken::with_suspend_after_checks(1),
+            checkpoint: true,
+            ..Run::default()
+        };
+        let (outcome, _, cp) =
+            rewrite(&suspending, &sigma, RewriteTarget::Linear, &opts, None).unwrap();
+        assert_eq!(outcome, RewriteOutcome::Suspended);
+        let cp = cp.expect("a suspended run carries its checkpoint");
+        let resume = |set: &TgdSet, target, opts: &RewriteOptions, cp: &RewriteCheckpoint| {
+            rewrite(&Run::default(), set, target, opts, Some(cp)).map(|_| ())
+        };
+        let mismatch = CheckpointError::ContextMismatch;
+        assert_eq!(
+            resume(&sigma, RewriteTarget::Guarded, &opts, &cp),
+            Err(mismatch("rewrite target class"))
+        );
+        assert_eq!(
+            resume(&other, RewriteTarget::Linear, &opts, &cp),
+            Err(mismatch("tgd set"))
+        );
+        let narrower = RewriteOptions {
+            enumeration: EnumOptions {
+                max_head_atoms: 1,
+                ..EnumOptions::default()
+            },
+            ..opts
+        };
+        assert_eq!(
+            resume(&sigma, RewriteTarget::Linear, &narrower, &cp),
+            Err(mismatch("candidate enumeration"))
+        );
+        let mut skewed = (*cp).clone();
+        skewed.done.push(false);
+        assert_eq!(
+            resume(&sigma, RewriteTarget::Linear, &opts, &skewed),
+            Err(mismatch("body-group count"))
+        );
+        assert_eq!(resume(&sigma, RewriteTarget::Linear, &opts, &cp), Ok(()));
     }
 
     #[test]
@@ -1165,16 +1125,22 @@ mod tests {
         )
         .unwrap();
         let (budget, cache) = (ChaseBudget::default(), EntailCache::new());
-        let live = CancelToken::new();
-        let (kept, checks) = forward_pass(&s, tgds.clone(), budget, &cache, &live);
+        let live = Run {
+            cache: Some(&cache),
+            ..Run::default()
+        };
+        let (kept, checks) = forward_pass(&live, &s, tgds.clone(), budget);
         assert_eq!(
             (kept.len(), checks),
             (1, 3),
             "both later members follow from the first"
         );
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        let (kept, checks) = forward_pass(&s, tgds, budget, &cache, &cancelled);
+        let cancelled = Run {
+            cache: Some(&cache),
+            ..Run::default()
+        };
+        cancelled.token.cancel();
+        let (kept, checks) = forward_pass(&cancelled, &s, tgds, budget);
         assert_eq!(
             (kept.len(), checks),
             (3, 0),
@@ -1199,7 +1165,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let outcome = guarded_to_linear(&sigma, &opts);
+        let outcome = linear(&sigma, &opts).0;
         assert_eq!(outcome, RewriteOutcome::Inconclusive);
     }
 }

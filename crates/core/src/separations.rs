@@ -2,10 +2,9 @@
 //! witnessed by a one-rule gadget and a machine-checked locality violation.
 
 use crate::locality::{locality_counterexample, LocalityFlavor, LocalityOptions};
-use crate::rewrite::{
-    frontier_guarded_to_guarded, guarded_to_linear, RewriteOptions, RewriteOutcome,
-};
+use crate::rewrite::{rewrite, RewriteOptions, RewriteOutcome, RewriteTarget};
 use crate::verdict::Verdict;
+use tgdkit_chase::Run;
 use tgdkit_instance::{parse_instance, Instance};
 use tgdkit_logic::{parse_tgds, Schema, TgdSet};
 
@@ -66,6 +65,7 @@ pub fn guarded_vs_frontier_guarded() -> Separation {
 /// argument), so no equivalent set in the weaker class exists.
 pub fn verify(separation: &Separation) -> Verdict {
     locality_counterexample(
+        &Run::default(),
         &separation.sigma,
         &separation.witness,
         separation.n,
@@ -73,6 +73,7 @@ pub fn verify(separation: &Separation) -> Verdict {
         separation.flavor,
         &LocalityOptions::default(),
     )
+    .0
 }
 
 /// Cross-checks a separation with the rewriting procedures of §9.2: the
@@ -86,11 +87,13 @@ pub fn cross_check_with_rewriting(separation: &Separation) -> Verdict {
         },
         ..Default::default()
     };
-    let outcome = match separation.flavor {
-        LocalityFlavor::Linear => guarded_to_linear(&separation.sigma, &opts),
-        LocalityFlavor::Guarded => frontier_guarded_to_guarded(&separation.sigma, &opts),
+    let target = match separation.flavor {
+        LocalityFlavor::Linear => RewriteTarget::Linear,
+        LocalityFlavor::Guarded => RewriteTarget::Guarded,
         _ => return Verdict::Unknown,
     };
+    let (outcome, _, _) = rewrite(&Run::default(), &separation.sigma, target, &opts, None)
+        .expect("a fresh run has no checkpoint to mismatch");
     match outcome {
         RewriteOutcome::NotRewritable => Verdict::Yes,
         RewriteOutcome::Rewritten(_) => Verdict::No,

@@ -1,14 +1,14 @@
 //! One admitted request, runnable one scheduler slice at a time.
 //!
 //! A [`Job`] wraps the engine's suspendable entry points
-//! ([`entails_batch_checkpointing`]/[`entails_batch_resume`] and the
-//! rewrite `*_checkpointing`/`*_resume` pair) behind a single
+//! ([`entails_batch`] and [`rewrite`] under a checkpointing [`Run`], started
+//! fresh or from the job's checkpoint) behind a single
 //! [`Job::run_slice`]: the scheduler hands it a [`SliceLimit`], the job
 //! runs until it finishes or the engine suspends at the next body-group
 //! boundary, and a suspended job carries its checkpoint to the next slice.
 //! Because suspension rides the exact same checkpoint machinery as the
-//! PR-5 memory trips, a time-sliced job's verdicts are byte-identical to a
-//! dedicated run — the property `proptest_serve.rs` exercises.
+//! memory-budget trips, a time-sliced job's verdicts are byte-identical to
+//! a dedicated run — the property `proptest_serve.rs` exercises.
 //!
 //! The job also tells a *quantum* suspension apart from a *byte-budget*
 //! trip: both return a checkpoint, but only a trip increments the engine's
@@ -18,13 +18,9 @@
 use std::time::Duration;
 
 use tgdkit_chase::{
-    entails_batch_checkpointing, entails_batch_resume, BatchCheckpoint, CancelToken, ChaseBudget,
-    EntailCache, Entailment,
+    entails_batch, BatchCheckpoint, CancelToken, ChaseBudget, EntailCache, Entailment, Run,
 };
-use tgdkit_core::rewrite::{
-    frontier_guarded_to_guarded_checkpointing, frontier_guarded_to_guarded_resume,
-    guarded_to_linear_checkpointing, guarded_to_linear_resume, RewriteOptions, RewriteOutcome,
-};
+use tgdkit_core::rewrite::{rewrite, RewriteOptions, RewriteOutcome};
 use tgdkit_core::RewriteCheckpoint;
 use tgdkit_logic::{parse_program, parse_tgds, Schema, Tgd, TgdSet};
 
@@ -208,7 +204,12 @@ impl Job {
     /// Runs the job for one slice against `cache`, updating the wire stats
     /// and stashing the new checkpoint when the engine suspends.
     pub fn run_slice(&mut self, cache: &EntailCache, limit: SliceLimit) -> JobStep {
-        let token = limit.token();
+        let run = Run {
+            token: limit.token(),
+            cache: Some(cache),
+            checkpoint: true,
+            ..Run::default()
+        };
         self.stats.quanta += 1;
         let hits_before = cache.hits() as u64;
         let misses_before = cache.misses() as u64;
@@ -219,29 +220,19 @@ impl Job {
                 candidates,
                 checkpoint,
             } => {
-                let run = match checkpoint.take() {
-                    None => entails_batch_checkpointing(
-                        schema,
-                        sigma,
-                        candidates,
-                        self.budget,
-                        Some(cache),
-                        &token,
-                    ),
-                    Some(cp) => match entails_batch_resume(
-                        schema,
-                        sigma,
-                        candidates,
-                        self.budget,
-                        Some(cache),
-                        &cp,
-                        &token,
-                    ) {
-                        Ok(run) => run,
-                        Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
-                    },
+                let resume = checkpoint.take();
+                let slice = entails_batch(
+                    &run,
+                    schema,
+                    sigma,
+                    candidates,
+                    self.budget,
+                    resume.as_deref(),
+                );
+                let (verdicts, stats, new_cp) = match slice {
+                    Ok(slice) => slice,
+                    Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
                 };
-                let (verdicts, stats, new_cp) = run;
                 self.stats.mem_peak_bytes = self
                     .stats
                     .mem_peak_bytes
@@ -267,27 +258,12 @@ impl Job {
                 target,
                 checkpoint,
             } => {
-                let run = match (checkpoint.take(), *target) {
-                    (None, RewriteTarget::Linear) => {
-                        guarded_to_linear_checkpointing(set, opts, cache, &token)
-                    }
-                    (None, RewriteTarget::Guarded) => {
-                        frontier_guarded_to_guarded_checkpointing(set, opts, cache, &token)
-                    }
-                    (Some(cp), RewriteTarget::Linear) => {
-                        match guarded_to_linear_resume(set, opts, cache, &cp, &token) {
-                            Ok(run) => run,
-                            Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
-                        }
-                    }
-                    (Some(cp), RewriteTarget::Guarded) => {
-                        match frontier_guarded_to_guarded_resume(set, opts, cache, &cp, &token) {
-                            Ok(run) => run,
-                            Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
-                        }
-                    }
-                };
-                let (outcome, stats, new_cp) = run;
+                let resume = checkpoint.take();
+                let (outcome, stats, new_cp) =
+                    match rewrite(&run, set, *target, opts, resume.as_deref()) {
+                        Ok(slice) => slice,
+                        Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
+                    };
                 self.stats.mem_peak_bytes =
                     self.stats.mem_peak_bytes.max(stats.mem_peak_bytes as u64);
                 let trips = stats.mem_trips;

@@ -8,11 +8,11 @@
 //! The procedures served here are 2EXPTIME in the worst case (the
 //! rewriting characterizations of the source paper), so a fair server
 //! cannot run requests to completion: the [`scheduler`] runs each request
-//! for a quantum, suspends long runs through the engine's
-//! checkpoint/resume entry points (`entails_batch_checkpointing`,
-//! `guarded_to_linear_checkpointing`, ...), round-robins across tenants,
-//! and resumes. Because suspension rides the same byte-exact checkpoint
-//! machinery as the PR-5 memory trips, **verdicts under time-slicing are
+//! for a quantum, suspends long runs through the engine's checkpointing
+//! entry points (`entails_batch` and `rewrite` under a checkpointing
+//! `Run`), round-robins across tenants, and resumes them from their
+//! checkpoints. Because suspension rides the same byte-exact checkpoint
+//! machinery as the memory-budget trips, **verdicts under time-slicing are
 //! identical to dedicated runs** — property-tested in
 //! `tests/proptest_serve.rs` and re-checked end-to-end by the
 //! [`smoke`] workload CI runs.

@@ -14,8 +14,8 @@ use tgdkit_chase::checkpoint::{
     CheckpointWriter,
 };
 use tgdkit_chase::{
-    chase_extend_governed, chase_sharded_governed, CancelToken, ChaseBudget, ChaseOutcome,
-    ChaseResult, ChaseVariant,
+    chase_extend, chase_from, CancelToken, ChaseBudget, ChaseOutcome, ChaseResult, ChaseStart,
+    ChaseVariant, Run,
 };
 use tgdkit_instance::{Elem, Fact, Instance};
 use tgdkit_logic::{PredId, Schema, Tgd, TgdSet};
@@ -31,7 +31,7 @@ pub struct KbConfig {
     /// incremental fold is cheapest for.
     pub variant: ChaseVariant,
     /// Shard count for *full* re-chases (the fresh-open chase and the
-    /// retraction path), run by [`tgdkit_chase::chase_sharded_governed`].
+    /// retraction path), run by [`tgdkit_chase::chase_from`].
     /// The result is byte-identical at any count, so this is purely a
     /// throughput knob. Incremental folds stay on the one-shard semi-naive
     /// extend path regardless (their deltas are batch-sized, not
@@ -83,14 +83,20 @@ pub(crate) fn full_chase(
     config: &KbConfig,
     token: &CancelToken,
 ) -> ChaseResult {
-    chase_sharded_governed(
-        base,
+    let run = Run {
+        token: token.clone(),
+        shards: config.shards,
+        ..Run::default()
+    };
+    chase_from(
+        &run,
+        ChaseStart::Fresh(base),
         tgds,
         config.variant,
         config.budget,
-        config.shards,
-        token,
     )
+    .expect("a fresh start has no checkpoint to mismatch")
+    .0
 }
 
 /// Cumulative counters for one [`DurableKb`] handle (recovery counters
@@ -274,14 +280,18 @@ pub(crate) fn fold_batch(
             rechased: true,
         })
     } else {
-        let (result, _) = chase_extend_governed(
+        let run = Run {
+            token: token.clone(),
+            ..Run::default()
+        };
+        let (result, _) = chase_extend(
+            &run,
             chased,
             nulls,
             inserts,
             tgds,
             config.variant,
             config.budget,
-            token,
         );
         if result.outcome != ChaseOutcome::Terminated {
             return Err(StoreError::ChaseDidNotTerminate(result.outcome));

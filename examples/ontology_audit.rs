@@ -57,10 +57,12 @@ fn main() {
             (LocalityFlavor::Linear, "linear (1,0)", 1),
             (LocalityFlavor::Guarded, "guarded (2,0)", 2),
         ] {
-            let v = locally_embeddable(&set, &witness, n, 0, flavor, &LocalityOptions::default());
+            let opts = LocalityOptions::default();
+            let (v, _) = locally_embeddable(&Run::default(), &set, &witness, n, 0, flavor, &opts);
             println!("   {name}-locally embeddable: {v:?}");
         }
-        let counter = locality_counterexample(
+        let (counter, _) = locality_counterexample(
+            &Run::default(),
             &set,
             &witness,
             1,

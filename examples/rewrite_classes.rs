@@ -8,8 +8,12 @@
 use tgdkit::core::enumerate::EnumOptions;
 use tgdkit::prelude::*;
 
-fn show(outcome: &RewriteOutcome, schema: &Schema) {
-    match outcome {
+/// Runs Algorithm 1 (`Linear`) or 2 (`Guarded`) on `set` and prints the
+/// outcome.
+fn show(set: &TgdSet, target: RewriteTarget, opts: &RewriteOptions, schema: &Schema) {
+    let (outcome, _stats, _) = rewrite(&Run::default(), set, target, opts, None)
+        .expect("a fresh run has no checkpoint to mismatch");
+    match &outcome {
         RewriteOutcome::Rewritten(tgds) => {
             println!("   rewritable; equivalent set:");
             for t in tgds {
@@ -51,7 +55,7 @@ fn main() {
         for t in set.tgds() {
             println!("   {}", t.display(&s));
         }
-        show(&guarded_to_linear(&set, &opts), &s);
+        show(&set, RewriteTarget::Linear, &opts, &s);
     }
 
     // The §9.1 separation gadget: provably not linearizable.
@@ -60,7 +64,7 @@ fn main() {
         let tgds = parse_tgds(&mut s, "R(x), P(x) -> T(x).").unwrap();
         let set = TgdSet::new(s.clone(), tgds).unwrap();
         println!("── guarded -> linear: Σ_G of §9.1");
-        show(&guarded_to_linear(&set, &exhaustive_unary), &s);
+        show(&set, RewriteTarget::Linear, &exhaustive_unary, &s);
     }
 
     // A frontier-guarded set whose non-guard side condition is implied:
@@ -70,7 +74,7 @@ fn main() {
         let tgds = parse_tgds(&mut s, "R(x,y) -> P(x). R(x,y), P(x) -> T(x).").unwrap();
         let set = TgdSet::new(s.clone(), tgds).unwrap();
         println!("── frontier-guarded -> guarded: implied side condition");
-        show(&frontier_guarded_to_guarded(&set, &opts), &s);
+        show(&set, RewriteTarget::Guarded, &opts, &s);
     }
 
     // The other §9.1 gadget: provably not guardable.
@@ -79,7 +83,7 @@ fn main() {
         let tgds = parse_tgds(&mut s, "R(x), P(y) -> T(x).").unwrap();
         let set = TgdSet::new(s.clone(), tgds).unwrap();
         println!("── frontier-guarded -> guarded: Σ_F of §9.1");
-        show(&frontier_guarded_to_guarded(&set, &exhaustive_unary), &s);
+        show(&set, RewriteTarget::Guarded, &exhaustive_unary, &s);
     }
 
     // The Appendix F reduction, end to end: atomic entailment becomes
@@ -104,9 +108,12 @@ fn main() {
             parallel: true,
             ..Default::default()
         };
+        let sigma_prime = &reduction.sigma_prime;
         show(
-            &guarded_to_linear(&reduction.sigma_prime, &small),
-            reduction.sigma_prime.schema(),
+            sigma_prime,
+            RewriteTarget::Linear,
+            &small,
+            sigma_prime.schema(),
         );
     }
 }

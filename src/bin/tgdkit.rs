@@ -139,7 +139,13 @@ fn cmd_entail(rules_path: &str, tgd_text: &str) -> Result<String, String> {
     let tgds = load_rules(&mut schema, rules_path)?;
     let candidate = tgdkit::logic::parse_tgd(&mut schema, tgd_text).map_err(|e| e.to_string())?;
     let set = TgdSet::new(schema.clone(), tgds).map_err(|e| e.to_string())?;
-    let verdict = entails_auto(&schema, set.tgds(), &candidate, ChaseBudget::default());
+    let (verdict, _) = entails_auto(
+        &Run::default(),
+        &schema,
+        set.tgds(),
+        &candidate,
+        ChaseBudget::default(),
+    );
     Ok(format!(
         "Σ ⊨ {} : {:?}\n",
         candidate.display(&schema),
@@ -155,12 +161,12 @@ fn cmd_rewrite(target: &str, rules_path: &str) -> Result<String, String> {
         parallel: true,
         ..Default::default()
     };
-    let outcome = match target {
+    let rewrite_target = match target {
         "linear" => {
             if !set.is_guarded() {
                 return Err("rewrite linear expects a guarded rule set (Algorithm 1)".into());
             }
-            guarded_to_linear(&set, &opts)
+            RewriteTarget::Linear
         }
         "guarded" => {
             if !set.is_frontier_guarded() {
@@ -168,10 +174,12 @@ fn cmd_rewrite(target: &str, rules_path: &str) -> Result<String, String> {
                     "rewrite guarded expects a frontier-guarded rule set (Algorithm 2)".into(),
                 );
             }
-            frontier_guarded_to_guarded(&set, &opts)
+            RewriteTarget::Guarded
         }
         other => return Err(format!("unknown rewrite target {other:?} (linear|guarded)")),
     };
+    let (outcome, _, _) =
+        rewrite(&Run::default(), &set, rewrite_target, &opts, None).map_err(|e| e.to_string())?;
     let mut out = String::new();
     match outcome {
         RewriteOutcome::Rewritten(rewriting) => {

@@ -217,3 +217,252 @@ fn schema_display_and_extension_round() {
     assert_eq!(ext.len(), 3);
     assert_eq!(ext.max_arity(), 3);
 }
+
+/// One row per `Run`-taking operation: `true` when the operation reports
+/// that the run was interrupted, in its own terms.
+type RunCheck<'a> = (&'static str, Box<dyn Fn(&Run) -> bool + 'a>);
+
+#[test]
+fn run_context_reaches_every_operation() {
+    use tgdkit::chase_crate::{
+        certainly_holds_by_rewriting, entails_edd_under_tgds, refute_by_countermodel, FaultPlan,
+        FaultSite, SearchBudget,
+    };
+    use tgdkit::core::enumerate::{candidates, EnumOptions};
+
+    let mut s = Schema::default();
+    // Transitive closure: full, not linear, terminating.
+    let tc = parse_tgds(&mut s, "E(x,y), E(y,z) -> E(x,z).").unwrap();
+    let path = parse_instance(&mut s, "E(a,b), E(b,c), E(c,d)").unwrap();
+    let longer = parse_tgd(&mut s, "E(x,y), E(y,z), E(z,w) -> E(x,w)").unwrap();
+    let symmetric = parse_tgd(&mut s, "E(x,y) -> E(y,x)").unwrap();
+    let deps = parse_dependencies(&mut s, "E(x,y), E(y,z), E(z,w) -> E(x,w) | x = w.").unwrap();
+    let Dependency::Edd(edd) = &deps[0] else {
+        panic!("expected an edd");
+    };
+    let budget = ChaseBudget::default();
+    let cp_run = Run {
+        checkpoint: true,
+        ..Run::default()
+    };
+    let no_rounds = ChaseBudget {
+        max_rounds: 0,
+        ..budget
+    };
+    let (_, chase_cp) = chase_from(
+        &cp_run,
+        ChaseStart::Fresh(&path),
+        &tc,
+        ChaseVariant::Restricted,
+        no_rounds,
+    )
+    .unwrap();
+    let chase_cp = chase_cp.expect("a tripped chase is resumable");
+    let base = chase(&path, &tc, ChaseVariant::Restricted, budget);
+    let e = s.pred_id("E").unwrap();
+    let (c, d) = (
+        base.instance.elem_by_name("c").unwrap(),
+        base.instance.fresh_elem(),
+    );
+    let batch = [tgdkit::instance::Fact::new(e, vec![c, d])];
+    // Linear, divergent chase, decided by rewriting.
+    let successor = parse_tgds(&mut s, "E(x,y) -> exists z : E(y,z).").unwrap();
+    let two_steps = parse_tgd(&mut s, "E(x,y) -> exists z, w : E(y,z), E(z,w)").unwrap();
+    let q = Cq::boolean(longer.body().to_vec());
+    // A search budget whose first state is a cancellation check.
+    let search = SearchBudget {
+        max_states: 1024,
+        ..SearchBudget::default()
+    };
+    let tc_set = TgdSet::new(s.clone(), tc.clone()).unwrap();
+    let mut rs = Schema::default();
+    let guarded = parse_tgds(&mut rs, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).").unwrap();
+    let guarded = TgdSet::new(rs, guarded).unwrap();
+    let opts = RewriteOptions::default();
+    let suspending = Run {
+        token: CancelToken::with_suspend_after_checks(1),
+        checkpoint: true,
+        ..Run::default()
+    };
+    let (_, _, rewrite_cp) =
+        rewrite(&suspending, &guarded, RewriteTarget::Linear, &opts, None).unwrap();
+    let rewrite_cp = rewrite_cp.expect("a suspended rewrite carries its checkpoint");
+    let rewrite_cancelled = |run: &Run, target, resume| {
+        let (outcome, stats, _) = rewrite(run, &guarded, target, &opts, resume).unwrap();
+        outcome == RewriteOutcome::Cancelled && stats.cancelled
+    };
+    let chase_bytes = chase_cp.encode();
+
+    let table: Vec<RunCheck> = vec![
+        (
+            "chase_from (fresh)",
+            Box::new(|run| {
+                let start = ChaseStart::Fresh(&path);
+                let (result, _) =
+                    chase_from(run, start, &tc, ChaseVariant::Restricted, budget).unwrap();
+                result.outcome == ChaseOutcome::Cancelled
+            }),
+        ),
+        (
+            "chase_from (resume)",
+            Box::new(|run| {
+                let start = ChaseStart::Resume(&chase_cp);
+                let (result, _) =
+                    chase_from(run, start, &tc, ChaseVariant::Restricted, budget).unwrap();
+                result.outcome == ChaseOutcome::Cancelled
+            }),
+        ),
+        (
+            "chase_extend",
+            Box::new(|run| {
+                let (result, _) = chase_extend(
+                    run,
+                    &base.instance,
+                    &base.nulls,
+                    &batch,
+                    &tc,
+                    ChaseVariant::Restricted,
+                    budget,
+                );
+                result.outcome == ChaseOutcome::Cancelled
+            }),
+        ),
+        (
+            "entails_by_chase",
+            Box::new(|run| {
+                entails_by_chase(run, &s, &tc, &longer, budget).0 == Entailment::Unknown
+            }),
+        ),
+        (
+            "entails_auto",
+            Box::new(|run| entails_auto(run, &s, &tc, &longer, budget).0 == Entailment::Unknown),
+        ),
+        (
+            "entails_all",
+            Box::new(|run| {
+                let members = [longer.clone()];
+                entails_all(run, &s, &tc, &members, budget).0 == Entailment::Unknown
+            }),
+        ),
+        (
+            "entails_edd_under_tgds",
+            Box::new(|run| {
+                entails_edd_under_tgds(run, &s, &tc, edd, budget).0 == Entailment::Unknown
+            }),
+        ),
+        (
+            "entails_linear",
+            Box::new(|run| {
+                entails_linear(run, &s, &successor, &two_steps, 10_000).0 == Entailment::Unknown
+            }),
+        ),
+        (
+            "certainly_holds_by_rewriting",
+            Box::new(|run| {
+                certainly_holds_by_rewriting(run, &path, &successor, &q, 10_000)
+                    .0
+                    .is_none()
+            }),
+        ),
+        (
+            "entails_batch",
+            Box::new(|run| {
+                let members = [longer.clone(), symmetric.clone()];
+                let (verdicts, _, _) = entails_batch(run, &s, &tc, &members, budget, None).unwrap();
+                verdicts == [Entailment::Unknown; 2]
+            }),
+        ),
+        (
+            "refute_by_countermodel",
+            Box::new(|run| {
+                refute_by_countermodel(run, &s, &tc, &symmetric, &search) == Entailment::Unknown
+            }),
+        ),
+        (
+            "candidates",
+            Box::new(|run| {
+                let opts = EnumOptions::default();
+                !candidates(run, &s, RewriteTarget::Linear, 1, 0, &opts).exhaustive
+            }),
+        ),
+        (
+            "locally_embeddable",
+            Box::new(|run| {
+                let flavor = LocalityFlavor::Plain;
+                let opts = LocalityOptions::default();
+                locally_embeddable(run, &tc_set, &path, 2, 0, flavor, &opts).0 == Verdict::Unknown
+            }),
+        ),
+        (
+            "locality_counterexample",
+            Box::new(|run| {
+                let flavor = LocalityFlavor::Plain;
+                let opts = LocalityOptions::default();
+                let (verdict, _) =
+                    locality_counterexample(run, &tc_set, &path, 2, 0, flavor, &opts);
+                verdict == Verdict::Unknown
+            }),
+        ),
+        (
+            "rewrite (Algorithm 1)",
+            Box::new(|run| rewrite_cancelled(run, RewriteTarget::Linear, None)),
+        ),
+        (
+            "rewrite (Algorithm 2)",
+            Box::new(|run| rewrite_cancelled(run, RewriteTarget::Guarded, None)),
+        ),
+        (
+            "rewrite (resume)",
+            Box::new(|run| rewrite_cancelled(run, RewriteTarget::Linear, Some(&rewrite_cp))),
+        ),
+        (
+            "ChaseCheckpoint::decode",
+            Box::new(|run| {
+                matches!(
+                    ChaseCheckpoint::decode(run, &chase_bytes, &s),
+                    Err(CheckpointError::ChecksumMismatch { .. })
+                )
+            }),
+        ),
+    ];
+    // Pre-cancelled, and carrying a fault plan that corrupts checkpoint
+    // decodes (the one operation with no cancellation point).
+    let interrupted = Run {
+        token: CancelToken::with_faults(FaultPlan::always(FaultSite::CheckpointCorrupt)),
+        ..Run::default()
+    };
+    interrupted.token.cancel();
+    for (name, interrupted_by) in &table {
+        assert!(
+            !interrupted_by(&Run::default()),
+            "{name}: a default run is not interrupted"
+        );
+        assert!(
+            interrupted_by(&interrupted),
+            "{name} ignored the run's token"
+        );
+    }
+
+    // A shared cache in the run serves a repeated batch and rewrite.
+    let cache = EntailCache::new();
+    let shared = Run {
+        cache: Some(&cache),
+        ..Run::default()
+    };
+    let members = [longer.clone(), symmetric.clone()];
+    let batch_hits = || {
+        let (_, stats, _) = entails_batch(&shared, &s, &tc, &members, budget, None).unwrap();
+        stats.cache_hits
+    };
+    assert_eq!(batch_hits(), 0);
+    assert_eq!(batch_hits(), members.len());
+    let rewrite_hits = || {
+        let (_, stats, _) = rewrite(&shared, &guarded, RewriteTarget::Linear, &opts, None).unwrap();
+        stats.cache_hits
+    };
+    let cold = rewrite_hits();
+    assert!(
+        rewrite_hits() > cold,
+        "a warm rewrite hits the shared cache"
+    );
+}

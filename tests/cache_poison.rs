@@ -8,9 +8,7 @@
 //! exposes the deterministic fault plans and the poison helper.
 
 use tgdkit::chase_crate::faults::{silence_injected_panics, FaultPlan, FaultSite};
-use tgdkit::chase_crate::{
-    entails_batch, entails_batch_governed, CancelToken, ChaseBudget, EntailCache, Entailment,
-};
+use tgdkit::chase_crate::{entails_batch, CancelToken, ChaseBudget, EntailCache, Entailment, Run};
 use tgdkit::logic::{parse_tgds, Schema};
 use tgdkit::serve::{Job, JobOutput, JobStep, Request, SliceLimit};
 
@@ -34,13 +32,37 @@ fn poisoned_cache_keeps_serving_batch_queries() {
     let cache = EntailCache::new();
     let budget = ChaseBudget::default();
 
-    let (before, _) = entails_batch(&schema, &sigma, &candidates, budget, Some(&cache));
+    let (before, _) = entails_batch(
+        &Run {
+            cache: Some(&cache),
+            ..Run::default()
+        },
+        &schema,
+        &sigma,
+        &candidates,
+        budget,
+        None,
+    )
+    .map(|(v, s, _)| (v, s))
+    .unwrap();
     assert!(before.contains(&Entailment::Proved));
 
     cache.poison_for_tests();
 
     // Every one of these lock acquisitions crashed pre-fix.
-    let (after, stats) = entails_batch(&schema, &sigma, &candidates, budget, Some(&cache));
+    let (after, stats) = entails_batch(
+        &Run {
+            cache: Some(&cache),
+            ..Run::default()
+        },
+        &schema,
+        &sigma,
+        &candidates,
+        budget,
+        None,
+    )
+    .map(|(v, s, _)| (v, s))
+    .unwrap();
     assert_eq!(before, after, "poison changed cached verdicts");
     assert!(stats.cache_hits > 0, "the memo survived the poison");
     assert!(cache.poison_recoveries() >= 1);
@@ -59,16 +81,53 @@ fn contained_group_panic_leaves_cache_usable() {
     let cache = EntailCache::new();
     let budget = ChaseBudget::default();
 
-    let clean_reference = entails_batch(&schema, &sigma, &candidates, budget, None).0;
+    let clean_reference = entails_batch(
+        &Run {
+            cache: None,
+            ..Run::default()
+        },
+        &schema,
+        &sigma,
+        &candidates,
+        budget,
+        None,
+    )
+    .map(|(v, s, _)| (v, s))
+    .unwrap()
+    .0;
 
     // Panic inside every group evaluation: all verdicts degrade to
     // Unknown, but nothing aborts and nothing poisons permanently.
     let token = CancelToken::with_faults(FaultPlan::only(7, FaultSite::GroupEvalPanic, 1));
-    let (faulted, stats) =
-        entails_batch_governed(&schema, &sigma, &candidates, budget, Some(&cache), &token);
+    let (faulted, stats) = entails_batch(
+        &Run {
+            token: token.clone(),
+            cache: Some(&cache),
+            ..Run::default()
+        },
+        &schema,
+        &sigma,
+        &candidates,
+        budget,
+        None,
+    )
+    .map(|(v, s, _)| (v, s))
+    .unwrap();
     assert!(stats.chase.panics_contained >= 1 || faulted == clean_reference);
 
-    let (rerun, _) = entails_batch(&schema, &sigma, &candidates, budget, Some(&cache));
+    let (rerun, _) = entails_batch(
+        &Run {
+            cache: Some(&cache),
+            ..Run::default()
+        },
+        &schema,
+        &sigma,
+        &candidates,
+        budget,
+        None,
+    )
+    .map(|(v, s, _)| (v, s))
+    .unwrap();
     assert_eq!(
         rerun, clean_reference,
         "panic residue perturbed a clean rerun"

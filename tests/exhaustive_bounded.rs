@@ -30,13 +30,15 @@ fn lemma_3_6_exhaustive_over_two_elements() {
         for k in 0..=2usize {
             let flow = for_each_instance(&s, k, &mut |i| {
                 let v = locally_embeddable(
+                    &Run::default(),
                     &set,
                     i,
                     n,
                     m,
                     LocalityFlavor::Plain,
                     &LocalityOptions::default(),
-                );
+                )
+                .0;
                 if v == Verdict::Yes && !satisfies_tgds(i, set.tgds()) {
                     panic!("Lemma 3.6 violated by {i} under {text}");
                 }
@@ -157,13 +159,15 @@ fn separation_witnesses_exist_in_the_bounded_universe() {
     let mut counterexamples = 0usize;
     for i in all_instances_up_to(&s, 1) {
         let v = locality_counterexample(
+            &Run::default(),
             &set,
             &i,
             1,
             0,
             LocalityFlavor::Linear,
             &LocalityOptions::default(),
-        );
+        )
+        .0;
         if v == Verdict::Yes {
             counterexamples += 1;
             // Every counterexample over one element must contain R and P

@@ -37,21 +37,25 @@ fn normalization_preserves_entailment() {
         let candidate = parse_tgd(&mut probe_schema, text).unwrap();
         assert_eq!(
             entails_auto(
+                &Run::default(),
                 &probe_schema,
                 original.tgds(),
                 &candidate,
                 ChaseBudget::default()
-            ),
+            )
+            .0,
             expected,
             "original set wrong on {text}"
         );
         assert_eq!(
             entails_auto(
+                &Run::default(),
                 &probe_schema,
                 normalized.set.tgds(),
                 &candidate,
                 ChaseBudget::default()
-            ),
+            )
+            .0,
             expected,
             "normalized set diverges on {text}"
         );
@@ -170,6 +174,7 @@ fn countermodel_never_contradicts_chase() {
                 ChaseBudget::small(),
             );
             let by_search = refute_by_countermodel(
+                &Run::default(),
                 sigma.schema(),
                 sigma.tgds(),
                 candidate,
@@ -237,11 +242,13 @@ fn linear_sets_entailment_is_total() {
         let candidate = parse_tgd(&mut probe_schema, text).unwrap();
         assert_eq!(
             entails_auto(
+                &Run::default(),
                 &probe_schema,
                 sigma.tgds(),
                 &candidate,
                 ChaseBudget::default()
-            ),
+            )
+            .0,
             expected,
             "wrong verdict on {text}"
         );

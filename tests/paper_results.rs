@@ -197,11 +197,21 @@ fn lemmas_6_2_and_7_2_refinements_are_weaker() {
         .map(|seed| InstanceGen::new(s.clone(), seed).generate(3, 0.4))
         .collect();
     for i in &samples {
-        let plain = locally_embeddable(&set, i, 2, 0, LocalityFlavor::Plain, &Default::default());
+        let plain = locally_embeddable(
+            &Run::default(),
+            &set,
+            i,
+            2,
+            0,
+            LocalityFlavor::Plain,
+            &Default::default(),
+        )
+        .0;
         if plain == Verdict::Yes {
             for flavor in [LocalityFlavor::Linear, LocalityFlavor::Guarded] {
                 assert_eq!(
-                    locally_embeddable(&set, i, 2, 0, flavor, &Default::default()),
+                    locally_embeddable(&Run::default(), &set, i, 2, 0, flavor, &Default::default())
+                        .0,
                     Verdict::Yes,
                     "refinement stronger than plain on {i}"
                 );
@@ -235,7 +245,16 @@ fn theorem_9_1_algorithm_1_end_to_end() {
     // Rewritable: redundant side atom.
     let mut s = Schema::default();
     let rewritable = tgd_set(&mut s, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).");
-    match guarded_to_linear(&rewritable, &RewriteOptions::default()) {
+    match rewrite(
+        &Run::default(),
+        &rewritable,
+        RewriteTarget::Linear,
+        &RewriteOptions::default(),
+        None,
+    )
+    .unwrap()
+    .0
+    {
         RewriteOutcome::Rewritten(linear) => {
             assert!(linear.iter().all(Tgd::is_linear));
             assert_eq!(
@@ -254,7 +273,16 @@ fn theorem_9_1_algorithm_1_end_to_end() {
 fn theorem_9_2_algorithm_2_end_to_end() {
     let mut s = Schema::default();
     let guardable = tgd_set(&mut s, "R(x,y) -> P(x). R(x,y), P(x) -> T(x).");
-    match frontier_guarded_to_guarded(&guardable, &RewriteOptions::default()) {
+    match rewrite(
+        &Run::default(),
+        &guardable,
+        RewriteTarget::Guarded,
+        &RewriteOptions::default(),
+        None,
+    )
+    .unwrap()
+    .0
+    {
         RewriteOutcome::Rewritten(guarded) => {
             assert!(guarded.iter().all(Tgd::is_guarded));
             assert_eq!(
@@ -325,7 +353,15 @@ fn check_appendix_f_row(
 fn appendix_f_reduction_to_linear_rewritability() {
     for (sigma, q, opts, entailed) in appendix_f_instances() {
         let reduction = guarded_entailment_to_linear_rewritability(&sigma, q).unwrap();
-        let outcome = guarded_to_linear(&reduction.sigma_prime, &opts);
+        let outcome = rewrite(
+            &Run::default(),
+            &reduction.sigma_prime,
+            RewriteTarget::Linear,
+            &opts,
+            None,
+        )
+        .unwrap()
+        .0;
         check_appendix_f_row(&reduction.sigma_prime, outcome, entailed, Tgd::is_linear);
     }
 }
@@ -335,7 +371,15 @@ fn appendix_f_reduction_to_linear_rewritability() {
 fn appendix_f_reduction_to_guarded_rewritability() {
     for (sigma, q, opts, entailed) in appendix_f_instances() {
         let reduction = fg_entailment_to_guarded_rewritability(&sigma, q).unwrap();
-        let outcome = frontier_guarded_to_guarded(&reduction.sigma_prime, &opts);
+        let outcome = rewrite(
+            &Run::default(),
+            &reduction.sigma_prime,
+            RewriteTarget::Guarded,
+            &opts,
+            None,
+        )
+        .unwrap()
+        .0;
         check_appendix_f_row(&reduction.sigma_prime, outcome, entailed, Tgd::is_guarded);
     }
 }
@@ -352,7 +396,16 @@ fn lemma_6_3_profile_preservation() {
         "R(x,y), R(x,x) -> exists z : S(x,z). R(x,y) -> exists z : S(x,z).",
     );
     let (n, m) = set.profile();
-    if let RewriteOutcome::Rewritten(linear) = guarded_to_linear(&set, &RewriteOptions::default()) {
+    if let RewriteOutcome::Rewritten(linear) = rewrite(
+        &Run::default(),
+        &set,
+        RewriteTarget::Linear,
+        &RewriteOptions::default(),
+        None,
+    )
+    .unwrap()
+    .0
+    {
         for tgd in &linear {
             assert!(tgd.universal_count() <= n);
             assert!(tgd.existential_count() <= m);
@@ -378,13 +431,15 @@ fn members_are_locally_embeddable() {
         );
         assert!(model.terminated());
         let v = locally_embeddable(
+            &Run::default(),
             &set,
             &model.instance,
             2,
             0,
             LocalityFlavor::Plain,
             &Default::default(),
-        );
+        )
+        .0;
         assert_eq!(v, Verdict::Yes, "member not embeddable (seed {seed})");
     }
 }

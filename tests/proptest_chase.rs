@@ -124,7 +124,8 @@ proptest! {
         let candidates = generate_set(&params, Family::Linear, cand_seed);
         for candidate in candidates.tgds() {
             let by_chase = entails(sigma.schema(), sigma.tgds(), candidate, ChaseBudget::small());
-            let by_rewriting = tgdkit::chase_crate::entails_linear(
+            let (by_rewriting, _) = tgdkit::chase_crate::entails_linear(
+                &Run::default(),
                 sigma.schema(),
                 sigma.tgds(),
                 candidate,
@@ -165,7 +166,8 @@ proptest! {
         let queries = generate_set(&params, Family::Linear, data_seed + 5000);
         for probe in queries.tgds() {
             let q = Cq::boolean(probe.body().to_vec());
-            let by_rewriting = certainly_holds_by_rewriting(&data, sigma.tgds(), &q, 100_000);
+            let (by_rewriting, _) =
+                certainly_holds_by_rewriting(&Run::default(), &data, sigma.tgds(), &q, 100_000);
             let by_chase = certainly_holds(&data, sigma.tgds(), &q, ChaseBudget::small());
             prop_assert!(by_rewriting.is_some(), "rewriting must decide");
             if let Some(chase_answer) = by_chase {

@@ -13,14 +13,11 @@ use proptest::prelude::*;
 use tgdkit::chase_crate::checkpoint::KIND_CHASE;
 use tgdkit::chase_crate::faults::{env_seed, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
-    chase_checkpointing, chase_resume, CancelToken, ChaseBudget, ChaseCheckpoint, ChaseOutcome,
-    ChaseVariant, CheckpointError, EntailCache,
+    chase_from, CancelToken, ChaseBudget, ChaseCheckpoint, ChaseOutcome, ChaseStart, ChaseVariant,
+    CheckpointError, EntailCache, Run,
 };
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
-use tgdkit::core::{
-    guarded_to_linear_checkpointing, guarded_to_linear_resume, RewriteCheckpoint, RewriteOptions,
-    RewriteOutcome,
-};
+use tgdkit::core::{rewrite, RewriteCheckpoint, RewriteOptions, RewriteOutcome, RewriteTarget};
 use tgdkit::instance::{Elem, Instance};
 use tgdkit::logic::TgdSet;
 
@@ -75,10 +72,9 @@ proptest! {
     ) {
         let set = random_set(set_seed, rules, existentials);
         let start = seed_instance(&set);
-        let token = CancelToken::new();
-        let (full, _) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &token,
-        );
+        let run = Run { checkpoint: true, ..Run::default() };
+        let chase = |start, budget| chase_from(&run, start, set.tgds(), ChaseVariant::Restricted, budget);
+        let (full, _) = chase(ChaseStart::Fresh(&start), BUDGET).unwrap();
         prop_assume!(full.stats.rounds > 0);
         let reference = reference_chase(&start, set.tgds(), ChaseVariant::Restricted, BUDGET);
         prop_assert_eq!(full.outcome, reference.outcome);
@@ -86,21 +82,13 @@ proptest! {
         prop_assert_eq!(&full.nulls, &reference.nulls);
         prop_assert_eq!(&full.instance, &reference.instance);
         let j = trip % full.stats.rounds;
-        let (tripped, cp) = chase_checkpointing(
-            &start,
-            set.tgds(),
-            ChaseVariant::Restricted,
-            ChaseBudget { max_rounds: j, ..BUDGET },
-            &token,
-        );
+        let (tripped, cp) = chase(ChaseStart::Fresh(&start), ChaseBudget { max_rounds: j, ..BUDGET }).unwrap();
         prop_assert_eq!(tripped.outcome, ChaseOutcome::BudgetExceeded);
         let cp = cp.expect("budget trip must be resumable");
         // Property 2: the checkpoint round-trips through its binary frame.
-        let decoded = ChaseCheckpoint::decode(&cp.encode(), set.schema()).unwrap();
+        let decoded = ChaseCheckpoint::decode(&Run::default(), &cp.encode(), set.schema()).unwrap();
         prop_assert_eq!(&decoded, cp.as_ref());
-        let (resumed, after) = chase_resume(
-            &decoded, set.tgds(), BUDGET, &token,
-        ).unwrap();
+        let (resumed, after) = chase(ChaseStart::Resume(&decoded), BUDGET).unwrap();
         prop_assert!(after.is_none(), "resume under the full budget completes");
         prop_assert_eq!(resumed.outcome, full.outcome);
         prop_assert_eq!(&resumed.instance, &full.instance, "trip at round {} is visible", j);
@@ -123,24 +111,20 @@ proptest! {
     ) {
         let set = random_set(set_seed, rules, 1);
         let start = seed_instance(&set);
-        let clean = CancelToken::new();
-        let (full, _) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &clean,
-        );
+        let clean = Run { checkpoint: true, ..Run::default() };
+        let chase = |run, start| chase_from(run, start, set.tgds(), ChaseVariant::Restricted, BUDGET);
+        let (full, _) = chase(&clean, ChaseStart::Fresh(&start)).unwrap();
         let seed = env_seed().wrapping_mul(1000) + schedule;
         let token = CancelToken::with_faults(FaultPlan::only(seed, FaultSite::MemBudgetTrip, 3));
-        let (tripped, cp) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &token,
-        );
+        let faulty = Run { token, ..clean.clone() };
+        let (tripped, cp) = chase(&faulty, ChaseStart::Fresh(&start)).unwrap();
         if tripped.outcome != ChaseOutcome::MemoryExceeded {
             prop_assert!(cp.is_none() || tripped.outcome != ChaseOutcome::Terminated);
             return Ok(());
         }
         prop_assert!(tripped.stats.mem_trips >= 1);
         let cp = cp.expect("memory trip must be resumable");
-        let (resumed, _) = chase_resume(
-            &cp, set.tgds(), BUDGET, &clean,
-        ).unwrap();
+        let (resumed, _) = chase(&clean, ChaseStart::Resume(&cp)).unwrap();
         prop_assert_eq!(resumed.outcome, full.outcome);
         prop_assert_eq!(&resumed.instance, &full.instance);
         prop_assert_eq!(resumed.stats.normalized(), full.stats.normalized());
@@ -158,25 +142,26 @@ proptest! {
     ) {
         let set = random_set(set_seed, rules, 0);
         let opts = RewriteOptions::default();
-        let clean_token = CancelToken::new();
-        let (clean, clean_stats, none) = guarded_to_linear_checkpointing(
-            &set, &opts, &EntailCache::new(), &clean_token,
-        );
+        let fresh_cache = EntailCache::new();
+        let clean_run = Run { cache: Some(&fresh_cache), checkpoint: true, ..Run::default() };
+        let (clean, clean_stats, none) =
+            rewrite(&clean_run, &set, RewriteTarget::Linear, &opts, None).unwrap();
         prop_assert!(none.is_none(), "unlimited budget never suspends");
         let seed = env_seed().wrapping_mul(1000) + schedule;
         let token = CancelToken::with_faults(FaultPlan::only(seed, FaultSite::MemBudgetTrip, 2));
         let cache = EntailCache::new();
+        let faulty = Run { token, cache: Some(&cache), checkpoint: true, ..Run::default() };
         let (mut outcome, mut stats, mut cp) =
-            guarded_to_linear_checkpointing(&set, &opts, &cache, &token);
+            rewrite(&faulty, &set, RewriteTarget::Linear, &opts, None).unwrap();
+        let resuming = Run { token: CancelToken::new(), ..faulty.clone() };
         let mut resumes = 0usize;
         while let Some(checkpoint) = cp {
             prop_assert_eq!(&outcome, &RewriteOutcome::Suspended);
             // Property 2 for rewrite checkpoints: binary round-trip.
-            let decoded = RewriteCheckpoint::decode(&checkpoint.encode()).unwrap();
+            let decoded = RewriteCheckpoint::decode(&Run::default(), &checkpoint.encode()).unwrap();
             prop_assert_eq!(&decoded, checkpoint.as_ref());
-            let (o, s, c) = guarded_to_linear_resume(
-                &set, &opts, &cache, &decoded, &clean_token,
-            ).unwrap();
+            let (o, s, c) =
+                rewrite(&resuming, &set, RewriteTarget::Linear, &opts, Some(&decoded)).unwrap();
             outcome = o;
             stats = s;
             cp = c;
@@ -208,36 +193,33 @@ proptest! {
     ) {
         let set = random_set(set_seed, rules, 1);
         let start = seed_instance(&set);
-        let token = CancelToken::new();
-        let (full, _) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &token,
-        );
+        let run = Run { checkpoint: true, ..Run::default() };
+        let chase = |budget| {
+            chase_from(&run, ChaseStart::Fresh(&start), set.tgds(), ChaseVariant::Restricted, budget)
+        };
+        let (full, _) = chase(BUDGET).unwrap();
         prop_assume!(full.stats.rounds > 0);
-        let (_, cp) = chase_checkpointing(
-            &start,
-            set.tgds(),
-            ChaseVariant::Restricted,
-            ChaseBudget { max_rounds: trip % full.stats.rounds, ..BUDGET },
-            &token,
-        );
+        let (_, cp) = chase(ChaseBudget { max_rounds: trip % full.stats.rounds, ..BUDGET }).unwrap();
         let bytes = cp.expect("budget trip must be resumable").encode();
         let mut corrupt = bytes.clone();
         let i = flip_pos % corrupt.len();
         corrupt[i] ^= 1 << flip_bit;
         prop_assert!(
-            ChaseCheckpoint::decode(&corrupt, set.schema()).is_err(),
+            ChaseCheckpoint::decode(&Run::default(), &corrupt, set.schema()).is_err(),
             "flip at byte {}/bit {} went undetected", i, flip_bit
         );
         // Injected corruption at decode time is also a typed error.
-        let corrupt_token =
-            CancelToken::with_faults(FaultPlan::always(FaultSite::CheckpointCorrupt));
+        let corrupting = Run {
+            token: CancelToken::with_faults(FaultPlan::always(FaultSite::CheckpointCorrupt)),
+            ..Run::default()
+        };
         prop_assert!(matches!(
-            ChaseCheckpoint::decode_governed(&bytes, set.schema(), &corrupt_token).unwrap_err(),
+            ChaseCheckpoint::decode(&corrupting, &bytes, set.schema()).unwrap_err(),
             CheckpointError::ChecksumMismatch { .. }
         ));
         // And the pristine frame still decodes: the rejection above was the
         // corruption, not the frame.
-        let decoded = ChaseCheckpoint::decode(&bytes, set.schema()).unwrap();
+        let decoded = ChaseCheckpoint::decode(&Run::default(), &bytes, set.schema()).unwrap();
         prop_assert_eq!(decoded.encode(), bytes);
         let _ = KIND_CHASE; // the frame's kind tag is part of the public API
     }

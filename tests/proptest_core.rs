@@ -34,7 +34,14 @@ fn redundant_member(schema: &Schema, tgds: &[Tgd]) -> Option<Tgd> {
     (0..tgds.len()).find_map(|i| {
         let mut rest = tgds.to_vec();
         let member = rest.remove(i);
-        (entails_auto(schema, &rest, &member, ChaseBudget::default()) == Entailment::Proved)
+        (entails_auto(
+            &Run::default(),
+            schema,
+            &rest,
+            &member,
+            ChaseBudget::default(),
+        )
+        .0 == Entailment::Proved)
             .then_some(member)
     })
 }
@@ -66,7 +73,15 @@ fn minimization_removes_redundant_members() {
     let mut s = Schema::default();
     let tgds = parse_tgds(&mut s, "R(x,y) -> T(x).").unwrap();
     let sigma = TgdSet::new(s.clone(), tgds).unwrap();
-    let outcome = guarded_to_linear(&sigma, &RewriteOptions::default());
+    let outcome = rewrite(
+        &Run::default(),
+        &sigma,
+        RewriteTarget::Linear,
+        &RewriteOptions::default(),
+        None,
+    )
+    .unwrap()
+    .0;
     let rewriting = outcome.rewriting().expect("a linear set is rewritable");
     assert_eq!(redundant_member(&s, rewriting), None);
 }
@@ -118,7 +133,9 @@ proptest! {
             prop_assert!(!satisfies_edd(&i, &edd), "I must violate δ");
             // Exact member check through edd entailment (chase universality).
             prop_assert_eq!(
-                entails_edd_under_tgds(sigma.schema(), sigma.tgds(), &edd, ChaseBudget::default()),
+                entails_edd_under_tgds(
+                    &Run::default(), sigma.schema(), sigma.tgds(), &edd, ChaseBudget::default(),
+                ).0,
                 Entailment::Proved,
                 "δ must hold in every member"
             );
@@ -168,15 +185,16 @@ proptest! {
         prop_assume!(!set.is_empty() && set.is_guarded());
         let serial = RewriteOptions::default();
         let parallel = RewriteOptions { parallel: true, ..Default::default() };
-        let linear = guarded_to_linear(&set, &serial);
-        prop_assert_eq!(guarded_to_linear(&set, &parallel), linear);
-        prop_assert_eq!(guarded_to_linear(&set, &serial), linear);
+        let decide = |target, opts| rewrite(&Run::default(), &set, target, opts, None).unwrap().0;
+        let linear = decide(RewriteTarget::Linear, &serial);
+        prop_assert_eq!(decide(RewriteTarget::Linear, &parallel), linear);
+        prop_assert_eq!(decide(RewriteTarget::Linear, &serial), linear);
         if let RewriteOutcome::Rewritten(tgds) = &linear {
             check_minimized(&set, tgds, Tgd::is_linear)?;
         }
-        let guarded = frontier_guarded_to_guarded(&set, &serial);
-        prop_assert_eq!(frontier_guarded_to_guarded(&set, &parallel), guarded);
-        prop_assert_eq!(frontier_guarded_to_guarded(&set, &serial), guarded);
+        let guarded = decide(RewriteTarget::Guarded, &serial);
+        prop_assert_eq!(decide(RewriteTarget::Guarded, &parallel), guarded);
+        prop_assert_eq!(decide(RewriteTarget::Guarded, &serial), guarded);
         // A guarded input is its own guarded rewriting.
         let tgds = guarded.rewriting().expect("guarded sets are guarded-rewritable");
         check_minimized(&set, tgds, Tgd::is_guarded)?;

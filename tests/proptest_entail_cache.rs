@@ -6,12 +6,9 @@
 
 use proptest::prelude::*;
 use tgdkit::chase_crate::{
-    entails_auto, entails_auto_cached, entails_batch, sigma_fingerprint, ChaseBudget, EntailCache,
-    Entailment,
+    entails_auto, entails_batch, sigma_fingerprint, ChaseBudget, EntailCache, Entailment, Run,
 };
-use tgdkit::core::rewrite::{
-    guarded_to_linear_cached, guarded_to_linear_with_stats, RewriteOptions,
-};
+use tgdkit::core::rewrite::{rewrite, RewriteOptions, RewriteTarget};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::logic::{Tgd, TgdSet};
 
@@ -64,21 +61,24 @@ proptest! {
         let budget = ChaseBudget::default();
         let expected: Vec<Entailment> = candidates
             .iter()
-            .map(|c| entails_auto(set.schema(), set.tgds(), c, budget))
+            .map(|c| entails_auto(&Run::default(), set.schema(), set.tgds(), c, budget).0)
             .collect();
 
-        let (ungrouped, stats) =
-            entails_batch(set.schema(), set.tgds(), &candidates, budget, None);
+        let batch = |run: &Run| {
+            let (verdicts, stats, _) =
+                entails_batch(run, set.schema(), set.tgds(), &candidates, budget, None).unwrap();
+            (verdicts, stats)
+        };
+        let (ungrouped, stats) = batch(&Run::default());
         prop_assert_eq!(&ungrouped, &expected);
         prop_assert_eq!(stats.candidates, candidates.len());
         prop_assert!(stats.bodies_chased <= stats.body_groups);
 
         let cache = EntailCache::new();
-        let (cold, _) =
-            entails_batch(set.schema(), set.tgds(), &candidates, budget, Some(&cache));
+        let cached = Run { cache: Some(&cache), ..Run::default() };
+        let (cold, _) = batch(&cached);
         prop_assert_eq!(&cold, &expected);
-        let (warm, warm_stats) =
-            entails_batch(set.schema(), set.tgds(), &candidates, budget, Some(&cache));
+        let (warm, warm_stats) = batch(&cached);
         prop_assert_eq!(&warm, &expected);
         prop_assert_eq!(warm_stats.bodies_chased, 0);
     }
@@ -95,13 +95,14 @@ proptest! {
         let candidates = random_candidates(cand_seed, 4);
         let budget = ChaseBudget::default();
         let cache = EntailCache::new();
+        let cached_run = Run { cache: Some(&cache), ..Run::default() };
         for c in &candidates {
-            let plain = entails_auto(set.schema(), set.tgds(), c, budget);
-            let cached = entails_auto_cached(set.schema(), set.tgds(), c, budget, &cache);
+            let plain = entails_auto(&Run::default(), set.schema(), set.tgds(), c, budget).0;
+            let cached = entails_auto(&cached_run, set.schema(), set.tgds(), c, budget).0;
             prop_assert_eq!(cached, plain);
             // Second call must be served from the cache with the same verdict.
             let hits_before = cache.hits();
-            let again = entails_auto_cached(set.schema(), set.tgds(), c, budget, &cache);
+            let again = entails_auto(&cached_run, set.schema(), set.tgds(), c, budget).0;
             prop_assert_eq!(again, plain);
             prop_assert_eq!(cache.hits(), hits_before + 1);
         }
@@ -121,17 +122,17 @@ proptest! {
         rules in 1usize..3,
     ) {
         let set = random_set(sigma_seed, rules, 0);
-        let serial = guarded_to_linear_with_stats(&set, &RewriteOptions::default()).0;
-        let parallel = guarded_to_linear_with_stats(
-            &set,
-            &RewriteOptions { parallel: true, ..Default::default() },
-        )
-        .0;
+        let linear = |run: &Run, opts: &RewriteOptions| {
+            rewrite(run, &set, RewriteTarget::Linear, opts, None).unwrap().0
+        };
+        let serial = linear(&Run::default(), &RewriteOptions::default());
+        let opts = RewriteOptions { parallel: true, ..Default::default() };
+        let parallel = linear(&Run::default(), &opts);
         prop_assert_eq!(&serial, &parallel);
         let cache = EntailCache::new();
-        let opts = RewriteOptions { parallel: true, ..Default::default() };
-        let cold = guarded_to_linear_cached(&set, &opts, &cache).0;
-        let warm = guarded_to_linear_cached(&set, &opts, &cache).0;
+        let cached = Run { cache: Some(&cache), ..Run::default() };
+        let cold = linear(&cached, &opts);
+        let warm = linear(&cached, &opts);
         prop_assert_eq!(&serial, &cold);
         prop_assert_eq!(&serial, &warm);
     }

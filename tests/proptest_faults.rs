@@ -11,10 +11,10 @@
 use proptest::prelude::*;
 use tgdkit::chase_crate::faults::{env_seed, silence_injected_panics, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
-    chase_governed, entails_auto, entails_auto_governed, CancelToken, ChaseBudget, ChaseOutcome,
-    ChaseVariant, Entailment,
+    chase_from, entails_auto, CancelToken, ChaseBudget, ChaseOutcome, ChaseStart, ChaseVariant,
+    Entailment, Run,
 };
-use tgdkit::core::rewrite::{guarded_to_linear_governed, guarded_to_linear_with_stats};
+use tgdkit::core::rewrite::{rewrite, RewriteTarget};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::core::RewriteOutcome;
 use tgdkit::instance::Instance;
@@ -114,15 +114,13 @@ proptest! {
             })
             .collect();
         let seed = env_seed().wrapping_mul(1000) + schedule;
-        let token =
-            CancelToken::with_faults(FaultPlan::only(seed, FaultSite::DeadlineExpire, 3));
-        let result = chase_governed(
-            &start,
-            set.tgds(),
-            ChaseVariant::Restricted,
-            budget,
-            &token,
-        );
+        let run = Run {
+            token: CancelToken::with_faults(FaultPlan::only(seed, FaultSite::DeadlineExpire, 3)),
+            ..Run::default()
+        };
+        let (result, _) = chase_from(
+            &run, ChaseStart::Fresh(&start), set.tgds(), ChaseVariant::Restricted, budget,
+        ).unwrap();
         if result.outcome == ChaseOutcome::Cancelled {
             prop_assert!(result.stats.rounds < prefixes.len());
             prop_assert_eq!(
@@ -149,11 +147,11 @@ proptest! {
         let candidates = random_candidates(cand_seed, 4);
         let budget = ChaseBudget::default();
         let seed = env_seed().wrapping_mul(1000) + schedule;
+        let auto = |run: &Run, c| entails_auto(run, set.schema(), set.tgds(), c, budget).0;
         for candidate in &candidates {
-            let clean = entails_auto(set.schema(), set.tgds(), candidate, budget);
+            let clean = auto(&Run::default(), candidate);
             let token = CancelToken::with_faults(FaultPlan::seeded(seed));
-            let faulted =
-                entails_auto_governed(set.schema(), set.tgds(), candidate, budget, &token);
+            let faulted = auto(&Run { token, ..Run::default() }, candidate);
             assert_not_inverted(clean, faulted);
         }
     }
@@ -171,10 +169,11 @@ proptest! {
         silence_injected_panics();
         let set = random_set(set_seed, rules, 0);
         let opts = tgdkit::core::RewriteOptions::default();
-        let (clean, _) = guarded_to_linear_with_stats(&set, &opts);
+        let linear = |run: &Run| rewrite(run, &set, RewriteTarget::Linear, &opts, None).unwrap();
+        let (clean, _, _) = linear(&Run::default());
         let seed = env_seed().wrapping_mul(1000) + schedule;
         let token = CancelToken::with_faults(FaultPlan::seeded(seed));
-        let (faulted, stats) = guarded_to_linear_governed(&set, &opts, &token);
+        let (faulted, stats, _) = linear(&Run { token, ..Run::default() });
         match (&clean, &faulted) {
             (RewriteOutcome::Rewritten(_), RewriteOutcome::NotRewritable) => {
                 panic!("faults flipped Rewritten to NotRewritable");
@@ -196,9 +195,12 @@ fn injected_group_eval_panics_are_contained() {
     silence_injected_panics();
     let set = random_set(7, 2, 0);
     let opts = tgdkit::core::RewriteOptions::default();
-    let token = CancelToken::with_faults(FaultPlan::only(1, FaultSite::GroupEvalPanic, 2));
+    let run = Run {
+        token: CancelToken::with_faults(FaultPlan::only(1, FaultSite::GroupEvalPanic, 2)),
+        ..Run::default()
+    };
     // Must return (not unwind), and every poisoned group reports Unknown.
-    let (outcome, stats) = guarded_to_linear_governed(&set, &opts, &token);
+    let (outcome, stats, _) = rewrite(&run, &set, RewriteTarget::Linear, &opts, None).unwrap();
     if stats.panics_contained > 0 {
         assert_ne!(
             outcome,
@@ -214,13 +216,18 @@ fn injected_trigger_worker_panics_cancel_the_chase() {
     let set = random_set(11, 2, 1);
     let start = seed_instance(&set);
     let token = CancelToken::with_faults(FaultPlan::always(FaultSite::TriggerWorkerPanic));
-    let result = chase_governed(
-        &start,
+    let result = chase_from(
+        &Run {
+            token: token.clone(),
+            ..Run::default()
+        },
+        ChaseStart::Fresh(&start),
         set.tgds(),
         ChaseVariant::Restricted,
         ChaseBudget::default(),
-        &token,
-    );
+    )
+    .unwrap()
+    .0;
     assert_eq!(result.outcome, ChaseOutcome::Cancelled);
     assert!(result.stats.panics_contained > 0);
     // No partial round was applied: the instance is the untouched start.

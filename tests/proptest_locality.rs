@@ -21,6 +21,33 @@ fn set_for(seed: u64) -> TgdSet {
     )
 }
 
+/// (n,m)-local embeddability of `set` in `i` under a default run.
+fn embeddable(set: &TgdSet, i: &Instance, n: usize, m: usize, flavor: LocalityFlavor) -> Verdict {
+    locally_embeddable(
+        &Run::default(),
+        set,
+        i,
+        n,
+        m,
+        flavor,
+        &LocalityOptions::default(),
+    )
+    .0
+}
+
+/// Algorithm 1 or 2 under a default run.
+fn decide(set: &TgdSet, target: RewriteTarget) -> RewriteOutcome {
+    rewrite(
+        &Run::default(),
+        set,
+        target,
+        &RewriteOptions::default(),
+        None,
+    )
+    .unwrap()
+    .0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -30,9 +57,7 @@ proptest! {
     fn embeddability_is_antitone(rule_seed in 0u64..200, data_seed in 0u64..200) {
         let set = set_for(rule_seed);
         let i = InstanceGen::new(set.schema().clone(), data_seed).generate(3, 0.4);
-        let at = |n, m| locally_embeddable(
-            &set, &i, n, m, LocalityFlavor::Plain, &LocalityOptions::default(),
-        );
+        let at = |n, m| embeddable(&set, &i, n, m, LocalityFlavor::Plain);
         let full = at(3, 1);
         if full == Verdict::Yes {
             for (n, m) in [(2, 1), (3, 0), (1, 0), (0, 0)] {
@@ -47,13 +72,11 @@ proptest! {
     fn refinements_are_weaker(rule_seed in 0u64..200, data_seed in 0u64..200) {
         let set = set_for(rule_seed);
         let i = InstanceGen::new(set.schema().clone(), data_seed).generate(3, 0.4);
-        let plain = locally_embeddable(
-            &set, &i, 2, 0, LocalityFlavor::Plain, &LocalityOptions::default(),
-        );
+        let plain = embeddable(&set, &i, 2, 0, LocalityFlavor::Plain);
         if plain == Verdict::Yes {
             for flavor in [LocalityFlavor::Linear, LocalityFlavor::Guarded] {
                 prop_assert_eq!(
-                    locally_embeddable(&set, &i, 2, 0, flavor, &LocalityOptions::default()),
+                    embeddable(&set, &i, 2, 0, flavor),
                     Verdict::Yes
                 );
             }
@@ -67,9 +90,7 @@ proptest! {
         let set = set_for(rule_seed);
         let (n, m) = set.profile();
         let i = InstanceGen::new(set.schema().clone(), data_seed).generate(3, 0.4);
-        let v = locally_embeddable(
-            &set, &i, n, m, LocalityFlavor::Plain, &LocalityOptions::default(),
-        );
+        let v = embeddable(&set, &i, n, m, LocalityFlavor::Plain);
         if v == Verdict::Yes {
             prop_assert!(
                 satisfies_tgds(&i, set.tgds()),
@@ -96,7 +117,7 @@ proptest! {
             rule_seed,
         );
         prop_assume!(set.is_guarded());
-        match guarded_to_linear(&set, &RewriteOptions::default()) {
+        match decide(&set, RewriteTarget::Linear) {
             RewriteOutcome::Rewritten(linear) => {
                 prop_assert!(linear.iter().all(Tgd::is_linear));
                 prop_assert_eq!(
@@ -131,7 +152,7 @@ proptest! {
             rule_seed,
         );
         prop_assume!(set.is_frontier_guarded());
-        match frontier_guarded_to_guarded(&set, &RewriteOptions::default()) {
+        match decide(&set, RewriteTarget::Guarded) {
             RewriteOutcome::Rewritten(guarded) => {
                 prop_assert!(guarded.iter().all(Tgd::is_guarded));
                 prop_assert_eq!(
@@ -167,7 +188,7 @@ proptest! {
         );
         prop_assume!(set.is_linear() && !set.is_empty());
         let (n, m) = set.profile();
-        match guarded_to_linear(&set, &RewriteOptions::default()) {
+        match decide(&set, RewriteTarget::Linear) {
             RewriteOutcome::Rewritten(linear) => {
                 for tgd in &linear {
                     prop_assert!(tgd.universal_count() <= n);

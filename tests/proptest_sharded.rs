@@ -67,7 +67,10 @@ proptest! {
         let start = InstanceGen::new(set.schema().clone(), data_seed).generate(4, 0.35);
         let reference = reference_chase(&start, set.tgds(), ChaseVariant::Restricted, BUDGET);
         let one = chase(&start, set.tgds(), ChaseVariant::Restricted, BUDGET);
-        let sharded = chase_sharded(&start, set.tgds(), ChaseVariant::Restricted, BUDGET, shards);
+        let run = Run { shards, ..Run::default() };
+        let (sharded, _) = chase_from(
+            &run, ChaseStart::Fresh(&start), set.tgds(), ChaseVariant::Restricted, BUDGET,
+        ).unwrap();
         prop_assert_eq!(sharded.outcome, reference.outcome);
         prop_assert_eq!(sharded.rounds, reference.rounds);
         prop_assert_eq!(&sharded.nulls, &reference.nulls);
@@ -92,7 +95,10 @@ proptest! {
         let start = InstanceGen::new(set.schema().clone(), data_seed).generate(3, 0.35);
         let reference = reference_chase(&start, set.tgds(), ChaseVariant::Oblivious, BUDGET);
         let one = chase(&start, set.tgds(), ChaseVariant::Oblivious, BUDGET);
-        let sharded = chase_sharded(&start, set.tgds(), ChaseVariant::Oblivious, BUDGET, shards);
+        let run = Run { shards, ..Run::default() };
+        let (sharded, _) = chase_from(
+            &run, ChaseStart::Fresh(&start), set.tgds(), ChaseVariant::Oblivious, BUDGET,
+        ).unwrap();
         prop_assert_eq!(sharded.outcome, reference.outcome);
         prop_assert_eq!(sharded.rounds, reference.rounds);
         prop_assert_eq!(&sharded.nulls, &reference.nulls);
@@ -114,10 +120,9 @@ proptest! {
     ) {
         let set = random_set(set_seed, rules, 1);
         let start = InstanceGen::new(set.schema().clone(), set_seed + 7).generate(4, 0.35);
-        let token = CancelToken::new();
-        let (full, _) = chase_sharded_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, shards, &token,
-        );
+        let run = Run { shards, checkpoint: true, ..Run::default() };
+        let chase = |start, budget| chase_from(&run, start, set.tgds(), ChaseVariant::Restricted, budget);
+        let (full, _) = chase(ChaseStart::Fresh(&start), BUDGET).unwrap();
         // A reference run that itself tripped the budget would make the
         // resume legitimately suspend again; pin the property to runs
         // that complete.
@@ -127,25 +132,16 @@ proptest! {
         prop_assert_eq!(&full.instance, &reference.instance);
         prop_assert_eq!(&full.nulls, &reference.nulls);
         let j = trip % full.stats.rounds;
-        let (tripped, cp) = chase_sharded_checkpointing(
-            &start,
-            set.tgds(),
-            ChaseVariant::Restricted,
-            ChaseBudget { max_rounds: j, ..BUDGET },
-            shards,
-            &token,
-        );
+        let (tripped, cp) = chase(ChaseStart::Fresh(&start), ChaseBudget { max_rounds: j, ..BUDGET }).unwrap();
         prop_assert_eq!(tripped.outcome, ChaseOutcome::BudgetExceeded);
         let cp = cp.expect("budget trip must be resumable");
         // The frame round-trips with its shard dimension intact: the
         // decoded checkpoint equals the captured one, and resuming it
         // (which re-partitions at the frame's shard count) completes
         // exactly as the uninterrupted sharded run did.
-        let decoded = ChaseCheckpoint::decode(&cp.encode(), set.schema()).unwrap();
+        let decoded = ChaseCheckpoint::decode(&Run::default(), &cp.encode(), set.schema()).unwrap();
         prop_assert_eq!(&decoded, cp.as_ref());
-        let (resumed, after) = chase_resume(
-            &decoded, set.tgds(), BUDGET, &token,
-        ).unwrap();
+        let (resumed, after) = chase(ChaseStart::Resume(&decoded), BUDGET).unwrap();
         prop_assert!(after.is_none(), "resume under the full budget completes");
         prop_assert_eq!(resumed.outcome, full.outcome);
         prop_assert_eq!(&resumed.instance, &full.instance, "trip at round {} is visible", j);
@@ -164,24 +160,20 @@ proptest! {
     ) {
         let set = random_set(set_seed, 2, 1);
         let start = InstanceGen::new(set.schema().clone(), set_seed + 11).generate(4, 0.35);
-        let clean = CancelToken::new();
-        let (full, _) = chase_sharded_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, shards, &clean,
-        );
+        let clean = Run { shards, checkpoint: true, ..Run::default() };
+        let chase = |run, start| chase_from(run, start, set.tgds(), ChaseVariant::Restricted, BUDGET);
+        let (full, _) = chase(&clean, ChaseStart::Fresh(&start)).unwrap();
         prop_assume!(full.outcome == ChaseOutcome::Terminated);
         let seed = env_seed().wrapping_mul(1000) + schedule;
         let token = CancelToken::with_faults(FaultPlan::only(seed, FaultSite::MemBudgetTrip, 3));
-        let (tripped, cp) = chase_sharded_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, shards, &token,
-        );
+        let faulty = Run { token, ..clean.clone() };
+        let (tripped, cp) = chase(&faulty, ChaseStart::Fresh(&start)).unwrap();
         if tripped.outcome != ChaseOutcome::MemoryExceeded {
             // The schedule never fired inside this run; nothing to resume.
             return Ok(());
         }
         let cp = cp.expect("memory trip must be resumable");
-        let (resumed, _) = chase_resume(
-            &cp, set.tgds(), BUDGET, &clean,
-        ).unwrap();
+        let (resumed, _) = chase(&clean, ChaseStart::Resume(&cp)).unwrap();
         prop_assert_eq!(resumed.outcome, full.outcome);
         prop_assert_eq!(&resumed.instance, &full.instance);
         prop_assert_eq!(comparable(&resumed.stats), comparable(&full.stats));

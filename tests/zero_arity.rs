@@ -78,13 +78,13 @@ fn entailment_through_propositional_state() {
     // Q alone does not entail R...
     let q_only = parse_tgd(&mut s, "Q(x) -> R(x)").unwrap();
     assert_eq!(
-        entails_auto(&s, &sigma, &q_only, ChaseBudget::default()),
+        entails_auto(&Run::default(), &s, &sigma, &q_only, ChaseBudget::default()).0,
         Entailment::Disproved
     );
     // ... but Q plus any P does.
     let with_p = parse_tgd(&mut s, "Q(x), P(y) -> R(x)").unwrap();
     assert_eq!(
-        entails_auto(&s, &sigma, &with_p, ChaseBudget::default()),
+        entails_auto(&Run::default(), &s, &sigma, &with_p, ChaseBudget::default()).0,
         Entailment::Proved
     );
 }
