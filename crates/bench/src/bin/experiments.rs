@@ -41,7 +41,7 @@ use tgdkit_core::RewriteCheckpoint;
 use tgdkit_core::{TgdOntology, Verdict};
 use tgdkit_instance::InstanceGen;
 use tgdkit_logic::{parse_tgds, Schema, Tgd, TgdSet};
-use tgdkit_store::{DurableKb, KbConfig, ReplicatedKb};
+use tgdkit_store::{DurableKb, KbConfig};
 
 fn section(id: &str, title: &str, claim: &str) {
     println!("\n## {id}: {title}");
@@ -1294,7 +1294,7 @@ fn bench_rewrite_json(smoke: bool) {
     );
 
     // Replication probe: the same chain workload behind a 3-replica /
-    // quorum-2 ReplicatedKb. One replica is killed mid-drive — quorum
+    // quorum-2 DurableKb. One replica is killed mid-drive — quorum
     // writes must keep flowing — then repaired back to byte-identity;
     // finally the primary's directory is deleted outright and a reopen
     // must fail over to a surviving replica and serve the same closure.
@@ -1310,7 +1310,7 @@ fn bench_rewrite_json(smoke: bool) {
     };
     let (repl_stats, repl_drive_time) = {
         let (mut kb, _) =
-            ReplicatedKb::open(&repl_root, &kb_set, repl_config).expect("fresh replicated store");
+            DurableKb::open(&repl_root, &kb_set, repl_config).expect("fresh replicated store");
         let (_, t) = timed(|| {
             for i in 0..repl_batches {
                 if i == repl_batches / 2 {
@@ -1336,7 +1336,7 @@ fn bench_rewrite_json(smoke: bool) {
         assert_eq!(kb.healthy_count(), 3, "killed replica rejoined");
         let stats = kb.stats();
         assert!(
-            stats.acks >= repl_batches as u64,
+            stats.wal_appends >= repl_batches as u64,
             "every batch acknowledged"
         );
         assert!(
@@ -1350,7 +1350,7 @@ fn bench_rewrite_json(smoke: bool) {
     // The primary's disk dies; reopening must elect a surviving replica.
     std::fs::remove_dir_all(repl_root.join("replica-00")).expect("kill the primary dir");
     let ((repl_kb, repl_report), repl_failover_time) = timed(|| {
-        ReplicatedKb::open(&repl_root, &kb_set, repl_config).expect("failover after primary loss")
+        DurableKb::open(&repl_root, &kb_set, repl_config).expect("failover after primary loss")
     });
     assert!(
         repl_report.failover,
@@ -1372,7 +1372,7 @@ fn bench_rewrite_json(smoke: bool) {
     let _ = std::fs::remove_dir_all(&repl_root);
     println!(
         "repl probe: {} acks at quorum 2/3 in {} ({} quorum waits, {} repairs); failover reopen in {}",
-        repl_stats.acks,
+        repl_stats.wal_appends,
         fmt_duration(repl_drive_time),
         repl_stats.quorum_waits,
         repl_stats.repairs,
@@ -1496,7 +1496,7 @@ fn bench_rewrite_json(smoke: bool) {
         durable_recovery.truncated_frames,
         ms(append_time),
         ms(recover_time),
-        repl_stats.acks,
+        repl_stats.wal_appends,
         repl_stats.quorum_waits,
         repl_stats.retries,
         repl_stats.repairs,

@@ -72,11 +72,11 @@ pub enum FaultSite {
     /// refuse to acknowledge the un-synced write (rolling its file back)
     /// rather than pretend the bytes are durable.
     FsyncFail = 8,
-    /// Transient append failure on one *replica* of a replicated store
-    /// (`tgdkit-store`'s `ReplicatedKb`): the frame does not reach that
-    /// replica's WAL on this attempt. Retryable — the replicated append
-    /// path retries with jittered backoff before demoting the replica to
-    /// `Lagging`.
+    /// Transient append failure on one *replica* of a `tgdkit-store`
+    /// `DurableKb` (any replica count; a one-replica store's only
+    /// replica included): the frame does not reach that replica's WAL on
+    /// this attempt. Retryable — the append fan-out retries with jittered
+    /// backoff before demoting the replica to `Lagging`.
     ReplicaAppendFail = 9,
     /// A replica silently misses an append deadline (the slow-disk /
     /// congested-peer failure): the frame is skipped without an error and
@@ -84,8 +84,7 @@ pub enum FaultSite {
     /// healed by catch-up repair.
     ReplicaLag = 10,
     /// A replica dies mid-drive (the SIGKILL analogue): its handle is
-    /// wedged and every subsequent append to it fails until repair
-    /// re-ships the segment files and re-admits it.
+    /// wedged and it takes no appends until repair re-admits it.
     ReplicaKill = 11,
 }
 

@@ -34,7 +34,7 @@ use crate::tenant::{KbSlot, TenantConfig, TenantState};
 use tgdkit_core::rewrite::RewriteOutcome;
 use tgdkit_instance::{Elem, Fact};
 use tgdkit_logic::{parse_program, Schema, TgdSet};
-use tgdkit_store::{KbConfig, TenantKb};
+use tgdkit_store::{DurableKb, KbConfig};
 
 /// Scheduler tuning.
 #[derive(Debug, Clone)]
@@ -317,21 +317,13 @@ impl Scheduler {
         let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
         if guard.is_none() {
             let dir = data_dir.join(tenant_dir_name(tenant_name));
-            // The tenant knobs and the KB config's own both apply;
-            // whichever asks for more shards / replicas / quorum wins
-            // (all default to 1).
+            // The tenant's shard knob and the KB config's own both
+            // apply; whichever asks for more wins (both default to 1).
             let kb_config = KbConfig {
                 shards: self.config.kb.shards.max(self.config.tenant.shards).max(1),
-                replicas: self
-                    .config
-                    .kb
-                    .replicas
-                    .max(self.config.tenant.replicas)
-                    .max(1),
-                quorum: self.config.kb.quorum.max(self.config.tenant.quorum).max(1),
                 ..self.config.kb
             };
-            match TenantKb::open(&dir, &set, kb_config) {
+            match DurableKb::open(&dir, &set, kb_config) {
                 Ok((kb, report)) => {
                     info!(
                         "tenant {tenant_name}: kb opened (gen {} seq {} replayed {} truncated {} fresh {} replicas {})",

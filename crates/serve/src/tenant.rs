@@ -4,20 +4,19 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use tgdkit_chase::{EntailCache, MemoryAccountant, DEFAULT_CACHE_MAX_BYTES};
-use tgdkit_store::TenantKb;
+use tgdkit_store::DurableKb;
 
 use crate::proto::TenantSnapshot;
 
 /// A tenant's durable knowledge base slot: `None` until the tenant's
-/// first KB request opens (or recovers) the store. The store is a flat
-/// [`DurableKb`](tgdkit_store::DurableKb) directory, or a
-/// [`ReplicatedKb`](tgdkit_store::ReplicatedKb) root when the server runs
-/// with `--replicas N` (N ≥ 2) — [`TenantKb`] dispatches. The mutex
-/// serializes KB operations per tenant — folds are budget-bounded by the
-/// server's [`KbConfig`](tgdkit_store::KbConfig), so holding it across
-/// one apply is bounded work — and is shared with the shutdown path,
-/// which flushes every open WAL through it.
-pub type KbSlot = Arc<Mutex<Option<TenantKb>>>;
+/// first KB request opens (or recovers) the store — one
+/// [`DurableKb`] with the server's replica count (the flat directory at
+/// the default of one, `replica-NN/` subdirectories under `--replicas N`).
+/// The mutex serializes KB operations per tenant — folds are
+/// budget-bounded by the server's [`KbConfig`](tgdkit_store::KbConfig),
+/// so holding it across one apply is bounded work — and is shared with
+/// the shutdown path, which flushes every open WAL through it.
+pub type KbSlot = Arc<Mutex<Option<DurableKb>>>;
 
 /// Admission and isolation limits applied to every tenant (tenants are
 /// created on first use; a per-tenant config registry can layer on later
@@ -42,17 +41,6 @@ pub struct TenantConfig {
     /// byte-identical at any count, so this only moves throughput, never
     /// answers.
     pub shards: usize,
-    /// Replica directories for each tenant's store (see
-    /// [`KbConfig::replicas`](tgdkit_store::KbConfig)). `1` (the default)
-    /// keeps the flat single-directory layout; N ≥ 2 gives each tenant N
-    /// byte-identical replica directories with quorum-acknowledged
-    /// appends and verified failover.
-    pub replicas: usize,
-    /// Write quorum when `replicas` ≥ 2: a KB apply is acknowledged only
-    /// once its WAL frame is durable on this many replicas; below it the
-    /// tenant's store degrades to read-only with typed `QuorumLost`
-    /// errors. Clamped to `1..=replicas`.
-    pub quorum: usize,
 }
 
 impl Default for TenantConfig {
@@ -63,8 +51,6 @@ impl Default for TenantConfig {
             cache_max_entries: 4096,
             cache_max_bytes: DEFAULT_CACHE_MAX_BYTES,
             shards: tgdkit_chase::shards_from_env(),
-            replicas: 1,
-            quorum: 1,
         }
     }
 }

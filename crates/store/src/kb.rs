@@ -1,24 +1,30 @@
-//! The durable knowledge base: a chased fixpoint kept consistent with an
-//! on-disk snapshot + WAL pair, updated by folding batches through the
-//! semi-naive incremental chase and recovered crash-consistently on open.
+//! The durable knowledge base: a chased fixpoint kept consistent with N
+//! replica directories of snapshot + WAL pairs, updated by folding
+//! batches through the semi-naive incremental chase, acknowledged at a
+//! write quorum, and recovered crash-consistently on open. N = 1 is the
+//! flat single-directory store; see [`crate::replica`] for the layout and
+//! the repair rule.
 
-use crate::segment::{
-    backoff_sleep, io_err, scan_frames, write_atomic, SegmentWriter, StoreError, KIND_SNAPSHOT,
-    KIND_WAL_BATCH,
+use crate::replica::{
+    encode_snapshot, install, probe, read_generation, trim, Probe, Replica, ReplicaHealth,
 };
+use crate::segment::{backoff_sleep, io_err, SegmentWriter, StoreError};
 use crate::wal::WalBatch;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use tgdkit_chase::checkpoint::{
-    read_instance, seal, tgds_fingerprint, write_instance, CheckpointError, CheckpointReader,
-    CheckpointWriter,
-};
+use tgdkit_chase::checkpoint::tgds_fingerprint;
 use tgdkit_chase::{
     chase_extend, chase_from, CancelToken, ChaseBudget, ChaseOutcome, ChaseResult, ChaseStart,
-    ChaseVariant, Run,
+    ChaseVariant, FaultSite, Run,
 };
 use tgdkit_instance::{Elem, Fact, Instance};
 use tgdkit_logic::{PredId, Schema, Tgd, TgdSet};
+
+/// Bounded attempts after the first, per replica, for a transient append
+/// fault (injected [`FaultSite::ReplicaAppendFail`], a torn write, a
+/// failed fsync, real I/O) and for an in-place repair, before the replica
+/// is demoted or the repair moves on to a re-ship.
+const RETRIES: u32 = 2;
 
 /// Tuning knobs for a [`DurableKb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,24 +46,16 @@ pub struct KbConfig {
     /// Once the WAL grows past this many bytes, the next acknowledged
     /// batch folds the log into a fresh snapshot generation.
     pub compact_wal_bytes: u64,
-    /// Replica directories for the store ([`crate::ReplicatedKb`]); `1`
-    /// (or `0`) keeps the single-directory [`DurableKb`] layout.
+    /// Replica directories: `1` (or `0`) is the flat layout in the store
+    /// root, N ≥ 2 keeps `replica-NN/` subdirectories.
     pub replicas: usize,
     /// Write quorum: an apply is acknowledged only once this many replicas
     /// have the batch durable. Clamped into `1..=replicas`.
     pub quorum: usize,
-    /// Bounded retry attempts per replica for transient append faults
-    /// (injected [`tgdkit_chase::FaultSite::ReplicaAppendFail`], real
-    /// transient I/O, fsync failures) before the replica is demoted.
-    pub replica_retries: u32,
-    /// Base backoff in milliseconds between replica retries and un-wedge
-    /// attempts; the actual sleep is jittered deterministically from the
-    /// attempt ordinal. `0` disables sleeping (tests).
+    /// Base backoff in milliseconds between append retries and in-place
+    /// repair attempts; the actual sleep is jittered deterministically
+    /// from the attempt ordinal. `0` disables sleeping (tests).
     pub retry_backoff_ms: u64,
-    /// Bounded reopen-and-recover attempts a wedged [`DurableKb`] handle
-    /// makes on the next apply before giving up with
-    /// [`StoreError::Wedged`].
-    pub unwedge_retries: u32,
 }
 
 impl Default for KbConfig {
@@ -69,15 +67,104 @@ impl Default for KbConfig {
             compact_wal_bytes: 1 << 20,
             replicas: 1,
             quorum: 1,
-            replica_retries: 2,
             retry_backoff_ms: 2,
-            unwedge_retries: 2,
         }
     }
 }
 
+/// Cumulative counters for one [`DurableKb`] handle (recovery counters
+/// cover the `open` that produced it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KbStats {
+    /// Batches acknowledged (WAL frames durable on a quorum).
+    pub wal_appends: u64,
+    /// Insert-only batches folded incrementally (no re-chase).
+    pub folds: u64,
+    /// Batches with effective retractions, re-chased from the base.
+    pub full_rechases: u64,
+    /// Log-into-snapshot compactions completed.
+    pub compactions: u64,
+    /// Compactions that failed (state stays durable on the old
+    /// generation; the WAL keeps growing until one succeeds).
+    pub compaction_failures: u64,
+    /// Successful opens of pre-existing on-disk state.
+    pub recoveries: u64,
+    /// WAL batches replayed during recovery.
+    pub replayed_batches: u64,
+    /// Damage events (torn tails, checksum mismatches, malformed or
+    /// out-of-sequence frames) truncated away during recovery.
+    pub truncated_frames: u64,
+    /// Snapshot generations skipped during recovery because they failed
+    /// verification.
+    pub snapshot_fallbacks: u64,
+    /// Replicas repaired in place — WAL trimmed back to the acknowledged
+    /// length, no re-ship, no process restart.
+    pub unwedge_recoveries: u64,
+    /// Acknowledged batches that reached quorum but not every replica.
+    pub quorum_waits: u64,
+    /// Per-replica append retries taken for transient faults.
+    pub retries: u64,
+    /// Replicas re-shipped from a peer or reseeded from memory.
+    pub repairs: u64,
+    /// Opens that elected a replica other than the first.
+    pub failovers: u64,
+    /// Applies refused because fewer than `quorum` replicas took them.
+    pub quorum_losses: u64,
+    /// Acknowledged bytes the non-healthy replicas are currently missing
+    /// (drops to 0 as repairs land).
+    pub lag_bytes: u64,
+}
+
+/// What [`DurableKb::open`] found and did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// The snapshot generation recovered into (0 for a fresh store).
+    pub generation: u64,
+    /// Sequence number after replay: total batches acknowledged over the
+    /// store's lifetime.
+    pub seq: u64,
+    /// WAL batches replayed on top of the snapshot.
+    pub replayed_batches: u64,
+    /// Damage events truncated away (0 on a clean open).
+    pub truncated_frames: u64,
+    /// Corrupt snapshot generations skipped.
+    pub snapshot_fallbacks: u64,
+    /// `true` when no replica held a store and one was initialized.
+    pub fresh: bool,
+    /// Index of the replica with the longest verified acknowledged
+    /// prefix, whose timeline the store continues.
+    pub elected: usize,
+    /// `true` when the elected replica was not the first.
+    pub failover: bool,
+    /// Replicas re-shipped to byte-identity with the elected one.
+    pub repaired: usize,
+}
+
+/// What one acknowledged [`DurableKb::apply`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ApplyReport {
+    /// The sequence number assigned to the batch.
+    pub seq: u64,
+    /// `true` when retractions forced a re-chase from the base instead of
+    /// an incremental fold.
+    pub rechased: bool,
+    /// `true` when the batch tipped the WAL over the compaction threshold
+    /// and a new snapshot generation was written.
+    pub compacted: bool,
+    /// Facts in the chased fixpoint after the batch.
+    pub fact_count: usize,
+}
+
+/// The knowledge-base state a snapshot stores and a batch folds.
+#[derive(Debug)]
+pub(crate) struct State {
+    pub(crate) base: Instance,
+    pub(crate) chased: Instance,
+    pub(crate) nulls: BTreeSet<Elem>,
+}
+
 /// A full chase from `base` under `config`, at the config's shard count.
-pub(crate) fn full_chase(
+fn full_chase(
     base: &Instance,
     tgds: &[Tgd],
     config: &KbConfig,
@@ -99,186 +186,33 @@ pub(crate) fn full_chase(
     .0
 }
 
-/// Cumulative counters for one [`DurableKb`] handle (recovery counters
-/// cover the `open` that produced it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KbStats {
-    /// Batches acknowledged (WAL frames fsynced).
-    pub wal_appends: u64,
-    /// Insert-only batches folded incrementally (no re-chase).
-    pub folds: u64,
-    /// Batches with effective retractions, re-chased from the base.
-    pub full_rechases: u64,
-    /// Log-into-snapshot compactions completed.
-    pub compactions: u64,
-    /// Compactions that failed (state stays durable on the old
-    /// generation; the WAL keeps growing until one succeeds).
-    pub compaction_failures: u64,
-    /// Successful opens of pre-existing on-disk state.
-    pub recoveries: u64,
-    /// WAL batches replayed during recovery.
-    pub replayed_batches: u64,
-    /// Damage events (torn tails, checksum mismatches, malformed or
-    /// out-of-sequence frames) truncated away during recovery.
-    pub truncated_frames: u64,
-    /// Snapshot generations skipped during recovery because they failed
-    /// verification.
-    pub snapshot_fallbacks: u64,
-    /// Wedged handles brought back in place by the bounded
-    /// reopen-and-recover retry on a subsequent apply (no process restart).
-    pub unwedge_recoveries: u64,
-}
-
-/// What [`DurableKb::open`] found and did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// The snapshot generation recovered into (0 for a fresh store).
-    pub generation: u64,
-    /// Sequence number after replay: total batches acknowledged over the
-    /// store's lifetime.
-    pub seq: u64,
-    /// WAL batches replayed on top of the snapshot.
-    pub replayed_batches: u64,
-    /// Damage events truncated away (0 on a clean open).
-    pub truncated_frames: u64,
-    /// Corrupt snapshot generations skipped.
-    pub snapshot_fallbacks: u64,
-    /// `true` when the directory held no store and one was initialized.
-    pub fresh: bool,
-}
-
-/// What one acknowledged [`DurableKb::apply`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ApplyReport {
-    /// The sequence number assigned to the batch.
-    pub seq: u64,
-    /// `true` when retractions forced a re-chase from the base instead of
-    /// an incremental fold.
-    pub rechased: bool,
-    /// `true` when the batch tipped the WAL over the compaction threshold
-    /// and a new snapshot generation was written.
-    pub compacted: bool,
-    /// Facts in the chased fixpoint after the batch.
-    pub fact_count: usize,
-}
-
-pub(crate) fn snapshot_name(generation: u64) -> String {
-    format!("snapshot-{generation:06}.tgks")
-}
-
-pub(crate) fn wal_name(generation: u64) -> String {
-    format!("wal-{generation:06}.tgkw")
-}
-
-/// Marker file written when a store directory is initialized; its presence
-/// distinguishes "this directory once held a store whose files were lost"
-/// (a typed recovery error — silently re-initializing would change
-/// verdicts) from "this directory is genuinely fresh".
-pub(crate) const MARKER_NAME: &str = "store.tgkm";
-
-/// The decoded payload of a snapshot frame.
-pub(crate) struct Snapshot {
-    pub(crate) sigma_fp: u64,
-    pub(crate) seq: u64,
-    pub(crate) nulls: BTreeSet<Elem>,
-    pub(crate) base: Instance,
-    pub(crate) chased: Instance,
-}
-
-pub(crate) fn encode_snapshot(
-    sigma_fp: u64,
-    seq: u64,
-    base: &Instance,
-    chased: &Instance,
-    nulls: &BTreeSet<Elem>,
-) -> Vec<u8> {
-    let mut w = CheckpointWriter::new();
-    w.u64(sigma_fp);
-    w.u64(seq);
-    w.count(nulls.len());
-    for e in nulls {
-        w.u32(e.0);
-    }
-    write_instance(&mut w, base);
-    write_instance(&mut w, chased);
-    seal(KIND_SNAPSHOT, &w.into_payload())
-}
-
-pub(crate) fn decode_snapshot(
-    payload: &[u8],
-    schema: &Schema,
-) -> Result<Snapshot, CheckpointError> {
-    let mut r = CheckpointReader::new(payload);
-    let sigma_fp = r.u64()?;
-    let seq = r.u64()?;
-    let null_count = r.count(4)?;
-    let mut nulls = BTreeSet::new();
-    for _ in 0..null_count {
-        nulls.insert(Elem(r.u32()?));
-    }
-    let base = read_instance(&mut r, schema)?;
-    let chased = read_instance(&mut r, schema)?;
-    if !r.is_exhausted() {
-        return Err(CheckpointError::Malformed("trailing snapshot bytes"));
-    }
-    Ok(Snapshot {
-        sigma_fp,
-        seq,
-        nulls,
-        base,
-        chased,
-    })
-}
-
-/// The next knowledge-base state after a batch, before it is made durable.
-pub(crate) struct FoldedState {
-    pub(crate) base: Instance,
-    pub(crate) chased: Instance,
-    pub(crate) nulls: BTreeSet<Elem>,
-    pub(crate) rechased: bool,
-}
-
-/// Applies a batch to `(base, chased, nulls)` *logically*, without
-/// touching disk. Retractions are applied to the base first, then
-/// insertions (so an insert wins over a retract of the same fact in one
-/// batch). An insert-only batch folds through the semi-naive incremental
-/// chase at delta cost; an effective retraction conservatively re-chases
-/// from the updated base (no provenance is tracked, so which derived
-/// facts a retraction invalidates is unknown). Both paths are
-/// deterministic, which is what lets recovery replay reproduce the
-/// uninterrupted state byte-for-byte.
-#[allow(clippy::too_many_arguments)] // internal helper threading the full store state
-pub(crate) fn fold_batch(
-    base: &Instance,
-    chased: &Instance,
-    nulls: &BTreeSet<Elem>,
+/// Applies a batch to `state` *logically*, without touching disk,
+/// returning the next state and whether it was re-chased. Retractions
+/// are applied to the base first, then insertions (so an insert wins
+/// over a retract of the same fact in one batch). An insert-only batch
+/// folds through the semi-naive incremental chase at delta cost; an
+/// effective retraction conservatively re-chases from the updated base
+/// (no provenance is tracked, so which derived facts a retraction
+/// invalidates is unknown). Both paths are deterministic, which is what
+/// lets recovery replay reproduce the uninterrupted state byte-for-byte.
+fn fold_batch(
+    state: &State,
     inserts: &[Fact],
     retracts: &[Fact],
     tgds: &[Tgd],
     config: &KbConfig,
     token: &CancelToken,
-) -> Result<FoldedState, StoreError> {
-    let mut new_base = base.clone();
-    let mut retracted_any = false;
+) -> Result<(State, bool), StoreError> {
+    let mut base = state.base.clone();
+    let mut rechase = false;
     for f in retracts {
-        if new_base.remove_fact(f.pred, &f.args) {
-            retracted_any = true;
-        }
+        rechase |= base.remove_fact(f.pred, &f.args);
     }
     for f in inserts {
-        new_base.add_fact(f.pred, f.args.clone());
+        base.add_fact(f.pred, f.args.clone());
     }
-    if retracted_any {
-        let result = full_chase(&new_base, tgds, config, token);
-        if result.outcome != ChaseOutcome::Terminated {
-            return Err(StoreError::ChaseDidNotTerminate(result.outcome));
-        }
-        Ok(FoldedState {
-            base: new_base,
-            chased: result.instance,
-            nulls: result.nulls,
-            rechased: true,
-        })
+    let result = if rechase {
+        full_chase(&base, tgds, config, token)
     } else {
         let run = Run {
             token: token.clone(),
@@ -286,284 +220,314 @@ pub(crate) fn fold_batch(
         };
         let (result, _) = chase_extend(
             &run,
-            chased,
-            nulls,
+            &state.chased,
+            &state.nulls,
             inserts,
             tgds,
             config.variant,
             config.budget,
         );
-        if result.outcome != ChaseOutcome::Terminated {
-            return Err(StoreError::ChaseDidNotTerminate(result.outcome));
-        }
-        Ok(FoldedState {
-            base: new_base,
-            chased: result.instance,
-            nulls: result.nulls,
-            rechased: false,
-        })
+        result
+    };
+    if result.outcome != ChaseOutcome::Terminated {
+        return Err(StoreError::ChaseDidNotTerminate(result.outcome));
+    }
+    let next = State {
+        base,
+        chased: result.instance,
+        nulls: result.nulls,
+    };
+    Ok((next, rechase))
+}
+
+/// The typed error of an injected replica fault.
+fn injected(op: &'static str, dir: &Path) -> StoreError {
+    StoreError::Io {
+        op,
+        path: dir.display().to_string(),
+        kind: std::io::ErrorKind::Interrupted,
     }
 }
 
-/// A knowledge base whose chased fixpoint survives the process.
+/// A knowledge base whose chased fixpoint survives the process — and,
+/// with N ≥ 2 replicas, the loss of any `quorum - 1` replica directories.
 ///
 /// Invariant: the in-memory `(base, chased, nulls, seq)` always equals
-/// what [`DurableKb::open`] would reconstruct from the directory — a
-/// batch commits to memory in the same step that acknowledges its WAL
-/// frame, and a failed append leaves both sides unchanged (or, after a
-/// torn write, wedges the handle so the divergent tail can never be
-/// extended).
+/// what [`DurableKb::open`] would reconstruct from the replicas — a batch
+/// commits to memory in the same step that acknowledges its WAL frame on
+/// a quorum, and a failed apply leaves memory unchanged and no replica
+/// holding the frame.
 #[derive(Debug)]
 pub struct DurableKb {
-    dir: PathBuf,
     schema: Schema,
     tgds: Vec<Tgd>,
     sigma_fp: u64,
     config: KbConfig,
     generation: u64,
     seq: u64,
-    base: Instance,
-    chased: Instance,
-    nulls: BTreeSet<Elem>,
-    wal: SegmentWriter,
+    state: State,
+    /// Acknowledged bytes in the current generation's WAL.
+    wal_len: u64,
+    replicas: Vec<Replica>,
     stats: KbStats,
 }
 
 impl DurableKb {
-    /// Opens (or initializes) the store in `dir` for the given tgd set.
-    /// See [`DurableKb::open_governed`].
+    /// Opens (or initializes) the store under `root` for the given tgd
+    /// set, recovering crash-consistently:
+    ///
+    /// 1. probe every replica for its verified acknowledged prefix: the
+    ///    newest snapshot generation that verifies (corrupt ones are
+    ///    skipped, counted as fallbacks) and the WAL prefix that
+    ///    checksums and sequence-chains;
+    /// 2. elect the longest prefix (ties to the lowest index), replay its
+    ///    batches and truncate its WAL at the damage point, so the durable
+    ///    state equals the acknowledged state;
+    /// 3. repair every other replica to byte-identity with it.
+    ///
+    /// A root where store files exist but no snapshot verifies is an
+    /// error, not a silent re-initialization — losing the base would
+    /// change verdicts. A root with no store files initializes generation
+    /// 0 (the chase of the empty instance, so rules with empty bodies
+    /// still fire).
     pub fn open(
-        dir: &Path,
+        root: &Path,
         set: &TgdSet,
         config: KbConfig,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        Self::open_governed(dir, set, config, &CancelToken::new())
-    }
-
-    /// Opens the store in `dir`, recovering crash-consistently:
-    ///
-    /// 1. pick the newest snapshot generation that verifies (corrupt ones
-    ///    are skipped, counted as fallbacks);
-    /// 2. replay the generation's WAL prefix frame by frame, stopping at
-    ///    the first torn, corrupt, malformed, or out-of-sequence frame;
-    /// 3. physically truncate the WAL at the damage point, so the durable
-    ///    state equals the acknowledged state.
-    ///
-    /// A directory with snapshots where *none* verifies is an error, not a
-    /// silent re-initialization — losing the base would change verdicts.
-    /// An empty directory initializes generation 0 (the chase of the empty
-    /// instance, so rules with empty bodies still fire).
-    pub fn open_governed(
-        dir: &Path,
-        set: &TgdSet,
-        config: KbConfig,
-        token: &CancelToken,
-    ) -> Result<(Self, RecoveryReport), StoreError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err("create-dir", dir, e))?;
+        let token = CancelToken::new();
+        std::fs::create_dir_all(root).map_err(|e| io_err("create-dir", root, e))?;
+        let n = config.replicas.max(1);
+        let dirs: Vec<PathBuf> = match n {
+            1 => vec![root.to_path_buf()],
+            _ => (0..n)
+                .map(|i| root.join(format!("replica-{i:02}")))
+                .collect(),
+        };
         let schema = set.schema().clone();
         let tgds = set.tgds().to_vec();
         let sigma_fp = tgds_fingerprint(&tgds);
-        let mut stats = KbStats::default();
-
-        // Newest verifying snapshot wins; no MANIFEST is needed because
-        // generations are monotone and snapshots are self-validating.
-        let mut generations = discover_generations(dir)?;
-        generations.sort_unstable_by(|a, b| b.cmp(a));
-        // A directory is fresh only if it holds no snapshot, no WAL file,
-        // and no init marker. A WAL without any snapshot, or a marker with
-        // neither, means store files were deleted out from under us —
-        // re-initializing would silently drop acknowledged facts.
-        let fresh =
-            generations.is_empty() && !dir.join(MARKER_NAME).exists() && !has_wal_files(dir)?;
-        if generations.is_empty() && !fresh {
-            return Err(StoreError::Frame(CheckpointError::Malformed(
-                "store directory lost every snapshot (marker or WAL present)",
-            )));
+        let mut probes = Vec::with_capacity(n);
+        for dir in &dirs {
+            probes.push(probe(dir, &schema, sigma_fp, &token)?);
         }
-        let mut chosen: Option<(u64, Snapshot)> = None;
-        let mut last_error = CheckpointError::Truncated;
-        for generation in generations {
-            let path = dir.join(snapshot_name(generation));
-            let bytes = std::fs::read(&path).map_err(|e| io_err("read", &path, e))?;
-            let scan = scan_frames(&bytes, KIND_SNAPSHOT, token);
-            let decoded = match (scan.frames.as_slice(), scan.damage) {
-                ([(_, payload)], None) => {
-                    decode_snapshot(payload, &schema).map_err(StoreError::Frame)
+        let elected = (0..n)
+            .filter_map(|i| match &probes[i] {
+                Probe::Verified(p) => Some((i, p.acked())),
+                _ => None,
+            })
+            .max_by(|(ia, sa), (ib, sb)| sa.cmp(sb).then(ib.cmp(ia)))
+            .map(|(i, _)| i);
+        let prefix = match elected.map(|i| std::mem::replace(&mut probes[i], Probe::Fresh)) {
+            Some(Probe::Verified(prefix)) => Some(prefix),
+            // No replica verifies: initialize only if none holds damage.
+            _ => {
+                if let Some(Probe::Damaged(e)) =
+                    probes.iter().find(|p| matches!(p, Probe::Damaged(_)))
+                {
+                    return Err(e.clone());
                 }
-                (_, Some(damage)) => Err(StoreError::Frame(damage)),
-                _ => Err(StoreError::Frame(CheckpointError::Malformed(
-                    "snapshot frame count",
-                ))),
-            };
-            match decoded {
-                Ok(snap) => {
-                    if snap.sigma_fp != sigma_fp {
-                        return Err(StoreError::ContextMismatch("tgd set"));
-                    }
-                    chosen = Some((generation, snap));
-                    break;
-                }
-                Err(StoreError::Frame(e)) => {
-                    stats.snapshot_fallbacks += 1;
-                    last_error = e;
-                }
-                Err(other) => return Err(other),
+                None
             }
-        }
+        };
+        let elected = elected.unwrap_or(0);
+        let fresh = prefix.is_none();
+        let (generation, seq) = prefix
+            .as_ref()
+            .map_or((0, 0), |p| (p.generation, p.acked()));
+        // Replicas at the elected position are repaired in place; the
+        // rest are re-shipped from it. The probed states are dropped
+        // before the replay.
+        let identical: Vec<bool> = probes
+            .iter()
+            .map(|p| matches!(p, Probe::Verified(v) if v.generation == generation && v.acked() == seq))
+            .collect();
+        drop(probes);
 
-        let (generation, mut seq, mut base, mut chased, mut nulls) = match chosen {
-            Some((generation, snap)) => {
-                stats.recoveries += 1;
-                (generation, snap.seq, snap.base, snap.chased, snap.nulls)
+        let mut report = RecoveryReport {
+            generation,
+            seq,
+            replayed_batches: 0,
+            truncated_frames: 0,
+            snapshot_fallbacks: 0,
+            fresh,
+            elected,
+            failover: elected != 0,
+            repaired: 0,
+        };
+        // The fresh store's generation-0 snapshot.
+        let mut seed = None;
+        let (state, wal_len, snapshot_bytes) = match prefix {
+            Some(prefix) => {
+                let mut state = prefix.state;
+                for batch in &prefix.batches {
+                    let folded = fold_batch(
+                        &state,
+                        &batch.inserts,
+                        &batch.retracts,
+                        &tgds,
+                        &config,
+                        &token,
+                    )?;
+                    state = folded.0;
+                }
+                report.replayed_batches = prefix.batches.len() as u64;
+                report.truncated_frames = u64::from(prefix.truncated);
+                report.snapshot_fallbacks = prefix.fallbacks;
+                (state, prefix.wal_len, prefix.snapshot_bytes)
             }
-            None if fresh => {
-                let empty = Instance::new(schema.clone());
-                let result = full_chase(&empty, &tgds, &config, token);
+            None => {
+                let base = Instance::new(schema.clone());
+                let result = full_chase(&base, &tgds, &config, &token);
                 if result.outcome != ChaseOutcome::Terminated {
                     return Err(StoreError::ChaseDidNotTerminate(result.outcome));
                 }
-                (0, 0, empty, result.instance, result.nulls)
+                let state = State {
+                    base,
+                    chased: result.instance,
+                    nulls: result.nulls,
+                };
+                let snapshot = encode_snapshot(sigma_fp, 0, &state);
+                let len = snapshot.len() as u64;
+                seed = Some(snapshot);
+                (state, 0, len)
             }
-            None => return Err(StoreError::Frame(last_error)),
         };
-
-        // Replay the WAL prefix that verifies, then truncate the rest.
-        let wal_path = dir.join(wal_name(generation));
-        let wal_bytes = match std::fs::read(&wal_path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("read", &wal_path, e)),
-        };
-        let scan = scan_frames(&wal_bytes, KIND_WAL_BATCH, token);
-        let mut valid_len = scan.valid_len;
-        let mut damaged = scan.damage.is_some();
-        for (offset, payload) in scan.frames {
-            let batch = match WalBatch::decode_payload(payload, &schema) {
-                Ok(batch) if batch.seq == seq => batch,
-                // Structurally broken or out-of-sequence: everything from
-                // here on is untrustworthy — truncate as damage.
-                _ => {
-                    valid_len = offset;
-                    damaged = true;
-                    break;
-                }
-            };
-            let folded = fold_batch(
-                &base,
-                &chased,
-                &nulls,
-                &batch.inserts,
-                &batch.retracts,
-                &tgds,
-                &config,
-                token,
-            )?;
-            base = folded.base;
-            chased = folded.chased;
-            nulls = folded.nulls;
-            seq += 1;
-            stats.replayed_batches += 1;
-        }
-        if damaged {
-            stats.truncated_frames += 1;
-            truncate_file(&wal_path, valid_len)?;
-        }
-        if fresh {
-            // Initialize generation 0 durably before acknowledging
-            // anything: an empty WAL, the empty-chase snapshot, and the
-            // init marker that makes later file loss detectable.
-            let snap = encode_snapshot(sigma_fp, seq, &base, &chased, &nulls);
-            write_atomic(dir, &snapshot_name(0), &snap, token)?;
-            write_atomic(dir, MARKER_NAME, b"tgdkit-store-v1\n", token)?;
-            truncate_file(&wal_path, 0)?;
-            valid_len = 0;
-        } else if !dir.join(MARKER_NAME).exists() {
-            // Pre-marker store layout: adopt the marker best-effort so the
-            // orphan-damage check covers this directory from now on.
-            let _ = write_atomic(dir, MARKER_NAME, b"tgdkit-store-v1\n", token);
-        }
-        let wal = SegmentWriter::open_append(&wal_path, valid_len)?;
-
-        let report = RecoveryReport {
+        let replicas = dirs
+            .into_iter()
+            .zip(identical)
+            .map(|(dir, same)| Replica::new(dir, if same { 0 } else { snapshot_bytes + wal_len }))
+            .collect();
+        let mut kb = DurableKb {
+            schema,
+            tgds,
+            sigma_fp,
+            config,
             generation,
             seq,
-            replayed_batches: stats.replayed_batches,
-            truncated_frames: stats.truncated_frames,
-            snapshot_fallbacks: stats.snapshot_fallbacks,
-            fresh,
+            state,
+            wal_len,
+            replicas,
+            stats: KbStats::default(),
         };
-        Ok((
-            DurableKb {
-                dir: dir.to_path_buf(),
-                schema,
-                tgds,
-                sigma_fp,
-                config,
-                generation,
-                seq,
-                base,
-                chased,
-                nulls,
-                wal,
-                stats,
-            },
-            report,
-        ))
+        let wal = match &seed {
+            Some(snapshot) => install(&kb.replicas[0].dir, 0, snapshot, &[], &token)?,
+            None => trim(&kb.replicas[elected].dir, kb.generation, wal_len, &token)?,
+        };
+        kb.replicas[elected].admit(wal);
+        kb.heal(&token, false);
+        // Seeding a brand-new store's other replicas is not a repair, and
+        // trimming a torn tail at open is recovery, not an un-wedge.
+        if !fresh {
+            report.repaired = kb.stats.repairs as usize;
+        }
+        kb.stats = KbStats {
+            recoveries: u64::from(!fresh),
+            replayed_batches: report.replayed_batches,
+            truncated_frames: report.truncated_frames,
+            snapshot_fallbacks: report.snapshot_fallbacks,
+            repairs: report.repaired as u64,
+            failovers: u64::from(report.failover),
+            ..KbStats::default()
+        };
+        Ok((kb, report))
     }
 
-    /// Applies one batch: fold logically, append + fsync the WAL frame,
-    /// and only then commit to memory — so an error of any kind leaves
-    /// the handle exactly as before (torn writes additionally wedge it;
-    /// see [`StoreError::TornWrite`]). Auto-compacts past the configured
-    /// WAL size; a *compaction* failure is recorded, not propagated,
-    /// because the batch itself is already durable.
+    /// Applies one batch: repair what can be repaired, fold once in
+    /// memory, fan the sealed WAL frame out to every healthy replica
+    /// (bounded jittered retries for transient faults), and acknowledge —
+    /// commit to memory — only once `quorum` replicas hold it durably.
+    /// Short of quorum, every replica that did take the frame is rolled
+    /// back and memory is unchanged; the error is the replica's own
+    /// ([`StoreError::TornWrite`], [`StoreError::FsyncFailed`], …) for a
+    /// one-replica store and [`StoreError::QuorumLost`] otherwise. Reads
+    /// keep working. Auto-compacts past the configured WAL size; a
+    /// *compaction* failure is recorded, not propagated, because the batch
+    /// itself is already durable.
     pub fn apply_governed(
         &mut self,
         inserts: &[Fact],
         retracts: &[Fact],
         token: &CancelToken,
     ) -> Result<ApplyReport, StoreError> {
-        if self.wal.is_wedged() {
-            self.unwedge(token)?;
+        // Piggybacked repair (under skip backoff), before the quorum
+        // check, so a degraded store heals back when the disks do.
+        self.heal(token, true);
+        let healthy = self.healthy_count();
+        if healthy < self.quorum() {
+            return Err(self.refuse(healthy, StoreError::Wedged));
         }
-        let folded = fold_batch(
-            &self.base,
-            &self.chased,
-            &self.nulls,
+        let (state, rechased) = fold_batch(
+            &self.state,
             inserts,
             retracts,
             &self.tgds,
             &self.config,
             token,
         )?;
-        let batch = WalBatch {
+        let frame = WalBatch {
             seq: self.seq,
             inserts: inserts.to_vec(),
             retracts: retracts.to_vec(),
-        };
-        self.wal.append_frame(&batch.encode(), token)?;
-        self.base = folded.base;
-        self.chased = folded.chased;
-        self.nulls = folded.nulls;
+        }
+        .encode();
+        let mut appended = Vec::with_capacity(self.replicas.len());
+        let mut cause = StoreError::Wedged;
+        for i in 0..self.replicas.len() {
+            if self.replicas[i].health == ReplicaHealth::Healthy {
+                match self.append_to(i, &frame, token) {
+                    Ok(()) => appended.push(i),
+                    Err(e) => cause = e,
+                }
+            }
+        }
+        if appended.len() < self.quorum() {
+            // Not acknowledged, so the replicas that did write the frame
+            // must forget it — otherwise a failover could serve a batch
+            // the caller was told failed.
+            for &i in &appended {
+                let r = &mut self.replicas[i];
+                let rolled_back = r
+                    .wal
+                    .as_mut()
+                    .is_some_and(|w| w.truncate_to(self.wal_len, token).is_ok());
+                if !rolled_back {
+                    r.demote(ReplicaHealth::Wedged);
+                }
+            }
+            return Err(self.refuse(appended.len(), cause));
+        }
+
+        // Acknowledged: commit memory in the same step.
+        for (i, r) in self.replicas.iter_mut().enumerate() {
+            if !appended.contains(&i) {
+                r.lag_bytes += frame.len() as u64;
+            }
+        }
+        self.state = state;
         self.seq += 1;
+        self.wal_len += frame.len() as u64;
         self.stats.wal_appends += 1;
-        if folded.rechased {
+        if rechased {
             self.stats.full_rechases += 1;
         } else {
             self.stats.folds += 1;
         }
+        if appended.len() < self.replicas.len() {
+            self.stats.quorum_waits += 1;
+        }
         let mut compacted = false;
-        if self.wal.len() >= self.config.compact_wal_bytes {
-            match self.compact_governed(token) {
+        if self.wal_len >= self.config.compact_wal_bytes {
+            match self.compact_at(token) {
                 Ok(()) => compacted = true,
                 Err(_) => self.stats.compaction_failures += 1,
             }
         }
         Ok(ApplyReport {
-            seq: batch.seq,
-            rechased: folded.rechased,
+            seq: self.seq - 1,
+            rechased,
             compacted,
-            fact_count: self.chased.fact_count(),
+            fact_count: self.state.chased.fact_count(),
         })
     }
 
@@ -576,71 +540,250 @@ impl DurableKb {
         self.apply_governed(inserts, retracts, &CancelToken::new())
     }
 
-    /// Bounded reopen-and-recover for a wedged handle: the invariant that
-    /// memory always equals the acknowledged durable prefix means recovery
-    /// is truncating the torn tail and reopening the WAL in place — no
-    /// re-chase, no process restart. Retries `unwedge_retries` times with
-    /// jittered backoff for transient I/O; exhausting them reports
-    /// [`StoreError::Wedged`] (the pre-existing contract).
-    fn unwedge(&mut self, token: &CancelToken) -> Result<(), StoreError> {
-        let acked = self.wal.len();
-        let mut attempt = 0u32;
-        loop {
-            match self.wal.truncate_to(acked, token) {
-                Ok(()) => {
-                    self.stats.unwedge_recoveries += 1;
-                    return Ok(());
-                }
-                Err(_) if attempt < self.config.unwedge_retries => {
-                    attempt += 1;
-                    backoff_sleep(self.config.retry_backoff_ms, attempt, self.seq);
-                }
-                Err(_) => return Err(StoreError::Wedged),
-            }
+    /// Counts a refused apply and types it: a one-replica store reports
+    /// its replica's own failure, a replicated one the lost quorum.
+    fn refuse(&mut self, healthy: usize, cause: StoreError) -> StoreError {
+        self.stats.quorum_losses += 1;
+        if self.replicas.len() == 1 {
+            return cause;
+        }
+        StoreError::QuorumLost {
+            healthy,
+            quorum: self.quorum(),
         }
     }
 
-    /// Folds the WAL into a fresh snapshot generation: write
-    /// `snapshot-(g+1)` atomically, start an empty `wal-(g+1)`, then
-    /// best-effort delete generation `g`. A crash anywhere in between
-    /// recovers either generation consistently (recovery picks the newest
-    /// snapshot that verifies, and a missing WAL is an empty one).
-    pub fn compact_governed(&mut self, token: &CancelToken) -> Result<(), StoreError> {
-        let next = self.generation + 1;
-        let snap = encode_snapshot(
-            self.sigma_fp,
-            self.seq,
-            &self.base,
-            &self.chased,
-            &self.nulls,
-        );
-        write_atomic(&self.dir, &snapshot_name(next), &snap, token)?;
-        let wal_path = self.dir.join(wal_name(next));
-        truncate_file(&wal_path, 0)?;
-        let wal = SegmentWriter::open_append(&wal_path, 0)?;
-        let old = self.generation;
-        self.generation = next;
-        self.wal = wal;
-        self.stats.compactions += 1;
-        let _ = std::fs::remove_file(self.dir.join(snapshot_name(old)));
-        let _ = std::fs::remove_file(self.dir.join(wal_name(old)));
+    /// Appends `frame` to replica `i` with bounded, jittered retries for
+    /// transient faults, demoting the replica when they run out.
+    fn append_to(&mut self, i: usize, frame: &[u8], token: &CancelToken) -> Result<(), StoreError> {
+        let acked = self.wal_len;
+        let salt = self.seq ^ ((i as u64) << 48);
+        let r = &mut self.replicas[i];
+        // An injected kill takes the whole replica down mid-append — the
+        // SIGKILL analogue. Not retryable; repair must re-admit it.
+        if token.fault(FaultSite::ReplicaKill) {
+            r.kill();
+            return Err(StoreError::Wedged);
+        }
+        // An injected lag silently misses the frame (slow disk, congested
+        // peer): the replica just falls behind.
+        if token.fault(FaultSite::ReplicaLag) {
+            r.demote(ReplicaHealth::Lagging);
+            return Err(injected("replica-lag", &r.dir));
+        }
+        let mut attempt = 0;
+        loop {
+            let result = if token.fault(FaultSite::ReplicaAppendFail) {
+                Err(injected("replica-append", &r.dir))
+            } else {
+                match r.wal.as_mut() {
+                    Some(wal) => wal.append_frame(frame, token).map(drop),
+                    None => Err(StoreError::Wedged),
+                }
+            };
+            let Err(err) = result else { return Ok(()) };
+            // A torn write leaves garbage past the acknowledged prefix;
+            // cutting it off makes the fault retryable like any other.
+            let torn = matches!(err, StoreError::TornWrite { .. });
+            let stuck = |w: &mut SegmentWriter| w.truncate_to(acked, token).is_err();
+            if attempt == RETRIES || (torn && r.wal.as_mut().is_none_or(stuck)) {
+                let wedged = torn || err == StoreError::Wedged;
+                r.demote(if wedged {
+                    ReplicaHealth::Wedged
+                } else {
+                    ReplicaHealth::Lagging
+                });
+                return Err(err);
+            }
+            attempt += 1;
+            self.stats.retries += 1;
+            backoff_sleep(self.config.retry_backoff_ms, attempt, salt);
+        }
+    }
+
+    /// Tries to repair every non-healthy replica, fewest missed bytes
+    /// first (so in-place repairs can serve as peers for re-ships),
+    /// returning how many came back. `patient` honors each replica's skip
+    /// backoff, which grows exponentially with failed attempts.
+    fn heal(&mut self, token: &CancelToken, patient: bool) -> usize {
+        let mut order: Vec<usize> = (0..self.replicas.len())
+            .filter(|&i| self.replicas[i].health != ReplicaHealth::Healthy)
+            .collect();
+        order.sort_by_key(|&i| self.replicas[i].lag_bytes);
+        let mut healed = 0;
+        for i in order {
+            let r = &mut self.replicas[i];
+            if patient && r.repair_skip > 0 {
+                r.repair_skip -= 1;
+                continue;
+            }
+            if self.repair_replica(i, token).is_ok() {
+                healed += 1;
+            } else {
+                let r = &mut self.replicas[i];
+                r.repair_attempts = r.repair_attempts.saturating_add(1);
+                r.repair_skip = 1u64 << r.repair_attempts.min(10);
+            }
+        }
+        healed
+    }
+
+    /// Repairs replica `i` by the one rule (module docs of
+    /// [`crate::replica`]): in place when it missed nothing acknowledged,
+    /// else re-shipped from a healthy peer, else reseeded from memory at
+    /// the next generation.
+    fn repair_replica(&mut self, i: usize, token: &CancelToken) -> Result<(), StoreError> {
+        let dir = self.replicas[i].dir.clone();
+        if self.replicas[i].lag_bytes == 0 {
+            for attempt in 0..=RETRIES {
+                if attempt > 0 {
+                    backoff_sleep(self.config.retry_backoff_ms, attempt, self.seq);
+                }
+                if let Ok(wal) = trim(&dir, self.generation, self.wal_len, token) {
+                    self.replicas[i].admit(wal);
+                    self.stats.unwedge_recoveries += 1;
+                    return Ok(());
+                }
+            }
+        }
+        let peer = self
+            .replicas
+            .iter()
+            .position(|r| r.health == ReplicaHealth::Healthy);
+        let wal = match peer {
+            Some(j) => {
+                let src = &self.replicas[j].dir;
+                let (snapshot, wal) = read_generation(src, self.generation, self.wal_len)?;
+                install(&dir, self.generation, &snapshot, &wal, token)?
+            }
+            None => {
+                let next = self.generation + 1;
+                let snapshot = encode_snapshot(self.sigma_fp, self.seq, &self.state);
+                let wal = install(&dir, next, &snapshot, &[], token)?;
+                // Every other replica now misses the new generation.
+                for r in &mut self.replicas {
+                    r.lag_bytes += snapshot.len() as u64;
+                }
+                self.generation = next;
+                self.wal_len = 0;
+                wal
+            }
+        };
+        self.replicas[i].admit(wal);
+        self.stats.repairs += 1;
         Ok(())
     }
 
-    /// [`DurableKb::compact_governed`] with a fresh token.
+    /// Repairs every non-healthy replica now (no skip backoff), returning
+    /// how many came back — the operational "re-admit the node" hook.
+    pub fn repair(&mut self) -> usize {
+        self.heal(&CancelToken::new(), false)
+    }
+
+    /// Folds the WAL into a fresh snapshot generation on every healthy
+    /// replica: see [`crate::replica`] for why the new WAL is created
+    /// before the snapshot rename commits the generation. The generation
+    /// advances when at least one replica committed it; a replica that
+    /// did not is demoted to `Lagging` (its previous generation is still a
+    /// complete acknowledged state) and re-shipped later. When none
+    /// committed, nothing changes and the WAL keeps growing.
     pub fn compact(&mut self) -> Result<(), StoreError> {
-        self.compact_governed(&CancelToken::new())
+        self.compact_at(&CancelToken::new())
     }
 
-    /// Re-fsyncs the WAL (appends already sync per frame, so this is a
-    /// cheap belt-and-braces barrier for graceful shutdown).
-    pub fn flush_governed(&mut self, token: &CancelToken) -> Result<(), StoreError> {
-        self.wal.sync(token)
+    fn compact_at(&mut self, token: &CancelToken) -> Result<(), StoreError> {
+        let next = self.generation + 1;
+        let snapshot = encode_snapshot(self.sigma_fp, self.seq, &self.state);
+        let mut installed = Vec::new();
+        let mut first_err = None;
+        for (i, r) in self.replicas.iter().enumerate() {
+            if r.health == ReplicaHealth::Healthy {
+                match install(&r.dir, next, &snapshot, &[], token) {
+                    Ok(wal) => installed.push((i, wal)),
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+        }
+        if installed.is_empty() {
+            return Err(first_err.unwrap_or(StoreError::QuorumLost {
+                healthy: 0,
+                quorum: self.quorum(),
+            }));
+        }
+        for r in &mut self.replicas {
+            r.lag_bytes += snapshot.len() as u64;
+            if r.health == ReplicaHealth::Healthy {
+                r.demote(ReplicaHealth::Lagging);
+            }
+        }
+        for (i, wal) in installed {
+            self.replicas[i].admit(wal);
+        }
+        self.generation = next;
+        self.wal_len = 0;
+        self.stats.compactions += 1;
+        Ok(())
     }
 
-    /// [`DurableKb::flush_governed`] with a fresh token.
+    /// Marks replica `i` dead (handle dropped, health `Wedged`) — the
+    /// in-process stand-in for SIGKILLing a replica node. Acknowledged
+    /// data is untouched on its disk. Opportunistic repair leaves it out
+    /// for the next two applies; [`DurableKb::repair`] re-admits it
+    /// immediately.
+    pub fn kill_replica(&mut self, i: usize) {
+        if let Some(r) = self.replicas.get_mut(i) {
+            r.kill();
+        }
+    }
+
+    /// Re-fsyncs every healthy replica's WAL (appends already sync per
+    /// frame, so this is a cheap belt-and-braces barrier for graceful
+    /// shutdown).
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        self.flush_governed(&CancelToken::new())
+        let token = CancelToken::new();
+        for wal in self.replicas.iter_mut().filter_map(|r| r.wal.as_mut()) {
+            wal.sync(&token)?;
+        }
+        Ok(())
+    }
+
+    fn quorum(&self) -> usize {
+        self.config.quorum.clamp(1, self.replicas.len())
+    }
+
+    /// Replicas currently healthy.
+    pub fn healthy_count(&self) -> usize {
+        self.replicas
+            .iter()
+            .filter(|r| r.health == ReplicaHealth::Healthy)
+            .count()
+    }
+
+    /// `true` when the store is below its write quorum (applies fail;
+    /// reads still work).
+    pub fn read_only(&self) -> bool {
+        self.healthy_count() < self.quorum()
+    }
+
+    /// `true` while some replica's handle is dead (a torn write retries
+    /// could not clear, or a kill); the next apply tries to repair it.
+    pub fn is_wedged(&self) -> bool {
+        self.replicas
+            .iter()
+            .any(|r| r.health == ReplicaHealth::Wedged)
+    }
+
+    /// Health of replica `i`.
+    pub fn replica_health(&self, i: usize) -> Option<ReplicaHealth> {
+        self.replicas.get(i).map(|r| r.health)
+    }
+
+    /// The replica directories, in index order (the root alone for a
+    /// one-replica store).
+    pub fn replica_dirs(&self) -> Vec<PathBuf> {
+        self.replicas.iter().map(|r| r.dir.clone()).collect()
     }
 
     /// Fingerprint of the tgd set the store is bound to (what
@@ -651,23 +794,23 @@ impl DurableKb {
 
     /// The chased fixpoint (base ∪ everything derivable from it).
     pub fn chased(&self) -> &Instance {
-        &self.chased
+        &self.state.chased
     }
 
     /// The base instance (exactly the acknowledged inserts minus
     /// retracts; no derived facts).
     pub fn base(&self) -> &Instance {
-        &self.base
+        &self.state.base
     }
 
     /// Labeled nulls of the chased fixpoint.
     pub fn nulls(&self) -> &BTreeSet<Elem> {
-        &self.nulls
+        &self.state.nulls
     }
 
     /// `true` iff the exact tuple is in the chased fixpoint.
     pub fn holds(&self, pred: PredId, args: &[Elem]) -> bool {
-        self.chased.contains_fact(pred, args)
+        self.state.chased.contains_fact(pred, args)
     }
 
     /// The schema the store is bound to.
@@ -687,81 +830,24 @@ impl DurableKb {
 
     /// Bytes currently acknowledged in the WAL.
     pub fn wal_bytes(&self) -> u64 {
-        self.wal.len()
+        self.wal_len
     }
 
-    /// `true` after a torn write; reopen to recover.
-    pub fn is_wedged(&self) -> bool {
-        self.wal.is_wedged()
-    }
-
-    /// Counters for this handle.
+    /// Counters for this handle; `lag_bytes` is the live backlog.
     pub fn stats(&self) -> KbStats {
-        self.stats
-    }
-
-    /// Consumes the handle, releasing the recovered state for a caller
-    /// (the replicated store's failover path) that continues the timeline
-    /// under its own writers: `(generation, seq, base, chased, nulls)`.
-    pub(crate) fn into_state(self) -> (u64, u64, Instance, Instance, BTreeSet<Elem>) {
-        (
-            self.generation,
-            self.seq,
-            self.base,
-            self.chased,
-            self.nulls,
-        )
-    }
-}
-
-pub(crate) fn discover_generations(dir: &Path) -> Result<Vec<u64>, StoreError> {
-    let mut generations = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err("read-dir", dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("read-dir", dir, e))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(gen) = name
-            .strip_prefix("snapshot-")
-            .and_then(|rest| rest.strip_suffix(".tgks"))
-        {
-            if let Ok(gen) = gen.parse::<u64>() {
-                generations.push(gen);
-            }
+        KbStats {
+            lag_bytes: self.replicas.iter().map(|r| r.lag_bytes).sum(),
+            ..self.stats
         }
     }
-    Ok(generations)
-}
-
-/// `true` when the directory holds any `wal-*.tgkw` file.
-pub(crate) fn has_wal_files(dir: &Path) -> Result<bool, StoreError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err("read-dir", dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err("read-dir", dir, e))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("wal-") && name.ends_with(".tgkw") {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-pub(crate) fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(false)
-        .open(path)
-        .map_err(|e| io_err("open", path, e))?;
-    file.set_len(len).map_err(|e| io_err("truncate", path, e))?;
-    file.sync_all().map_err(|e| io_err("fsync", path, e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tgdkit_chase::{FaultPlan, FaultSite};
+    use crate::replica::{snapshot_name, wal_name};
+    use tgdkit_chase::checkpoint::CheckpointError;
+    use tgdkit_chase::FaultPlan;
     use tgdkit_logic::parse_tgds;
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -219,21 +219,16 @@ fn listen(flags: &Flags) -> Result<String, String> {
         scheduler.tenant.shards = shards.max(1);
         scheduler.kb.shards = shards.max(1);
     }
+    // N >= 2 gives every tenant a quorum-acknowledged store of N
+    // byte-identical replica directories under its data directory.
     let replicas = flags.replicas.unwrap_or(1).max(1);
-    if flags.replicas.is_some() {
-        // N >= 2 gives every tenant a quorum-acknowledged replicated
-        // store (N byte-identical replica directories under its data
-        // directory); mirrored like --shards.
-        scheduler.tenant.replicas = replicas;
-        scheduler.kb.replicas = replicas;
-    }
+    scheduler.kb.replicas = replicas;
     if let Some(quorum) = flags.quorum {
         if quorum < 1 || quorum > replicas {
             return Err(format!(
                 "--quorum must be between 1 and --replicas ({replicas}), got {quorum}"
             ));
         }
-        scheduler.tenant.quorum = quorum;
         scheduler.kb.quorum = quorum;
     }
     let server = Server::start(ServerConfig {

@@ -176,3 +176,36 @@ fn orphan_wal_alone_is_a_typed_error_not_a_reinit() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn failed_compaction_never_hides_later_batches() {
+    // A compaction that fails must leave the old generation newest on
+    // disk, or batches acknowledged on the old WAL afterwards vanish at
+    // recovery behind a stale snapshot. Directories squatting on the next
+    // generation's file names make two compactions in a row fail: the
+    // first while creating its WAL, the second before it can install a
+    // snapshot at all.
+    let set = test_set();
+    let dir = tmpdir("failed-compaction");
+    let config = KbConfig {
+        compact_wal_bytes: 1, // every apply compacts
+        ..KbConfig::default()
+    };
+    let (mut kb, _) = DurableKb::open(&dir, &set, config).unwrap();
+    let wal_squatter = wal_path(&dir, 1);
+    std::fs::create_dir(&wal_squatter).unwrap();
+    kb.apply(&[e_fact(&set, 0, 1)], &[]).unwrap();
+    let snapshot_squatter = dir.join("snapshot-000001.tgks.tmp");
+    std::fs::create_dir(&snapshot_squatter).unwrap();
+    kb.apply(&[e_fact(&set, 1, 2)], &[]).unwrap();
+    assert_eq!(kb.seq(), 2);
+    assert_eq!(kb.stats().compaction_failures, 2);
+    drop(kb);
+    std::fs::remove_dir(&wal_squatter).unwrap();
+    std::fs::remove_dir(&snapshot_squatter).unwrap();
+    let (kb, report) = DurableKb::open(&dir, &set, config).unwrap();
+    assert_eq!(kb.seq(), 2, "recovery dropped an acknowledged batch");
+    assert_eq!(report.generation, 0, "no compaction committed");
+    assert!(kb.holds(set.schema().pred_id("E").unwrap(), &[Elem(0), Elem(2)]));
+    let _ = std::fs::remove_dir_all(&dir);
+}

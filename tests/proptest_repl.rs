@@ -1,11 +1,12 @@
 //! Replicated-store property tests: for ANY seeded schedule of torn
 //! writes, fsync failures, transient replica append faults, replica
-//! lags, and replica kills, a quorum-2-of-3 `ReplicatedKb`
+//! lags, and replica kills, a quorum-2-of-3 `DurableKb`
 //!
 //! 1. never loses an acknowledged batch: every apply the caller saw
 //!    succeed is present after a full close-and-recover cycle, and the
-//!    recovered closure is identical to a *shadow* `DurableKb` that
-//!    absorbed exactly the acknowledged batches with no faults at all;
+//!    recovered closure is identical to a one-replica *shadow* store
+//!    that absorbed exactly the acknowledged batches with no faults at
+//!    all;
 //! 2. degrades below quorum to typed `QuorumLost` errors — read-only,
 //!    never a panic, never a silently dropped batch;
 //! 3. survives the total loss of any `quorum - 1` replica directories
@@ -22,7 +23,7 @@ use tgdkit::chase_crate::faults::{env_seed, silence_injected_panics, FaultPlan};
 use tgdkit::chase_crate::CancelToken;
 use tgdkit::instance::{Elem, Fact};
 use tgdkit::logic::{parse_tgds, Schema, TgdSet};
-use tgdkit::store::{DurableKb, KbConfig, ReplicatedKb, StoreError};
+use tgdkit::store::{DurableKb, KbConfig, StoreError};
 
 fn test_set() -> TgdSet {
     let mut schema = Schema::default();
@@ -92,8 +93,10 @@ fn repl_config() -> KbConfig {
     }
 }
 
+/// The shadow: the flat one-replica store.
 fn shadow_config() -> KbConfig {
     KbConfig {
+        replicas: 1,
         compact_wal_bytes: u64::MAX,
         ..KbConfig::default()
     }
@@ -122,7 +125,7 @@ proptest! {
         let plan_seed = env_seed().wrapping_mul(1000) + seed;
         let token = CancelToken::with_faults(FaultPlan::seeded(plan_seed));
 
-        let (mut kb, _) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+        let (mut kb, _) = DurableKb::open(&root, &set, repl_config()).unwrap();
         let (mut shadow, _) = DurableKb::open(&shadow_dir, &set, shadow_config()).unwrap();
         let mut acked = 0u64;
         for (inserts, retracts) in &batches {
@@ -143,7 +146,7 @@ proptest! {
 
         // Crash-and-recover: a clean reopen of the replica root must
         // reconstruct exactly the acknowledged prefix.
-        let (kb, _) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+        let (kb, _) = DurableKb::open(&root, &set, repl_config()).unwrap();
         prop_assert_eq!(kb.seq(), acked, "recovery lost or invented acks");
         prop_assert_eq!(kb.chased(), shadow.chased(),
             "recovered closure diverged from the shadow");
@@ -164,7 +167,7 @@ proptest! {
         let set = test_set();
         let root = tmpdir("quorum");
         let batches = gen_batches(&set, seed, n_batches);
-        let (mut kb, _) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+        let (mut kb, _) = DurableKb::open(&root, &set, repl_config()).unwrap();
         for (inserts, retracts) in &batches {
             kb.apply(inserts, retracts).unwrap();
         }
@@ -204,7 +207,7 @@ proptest! {
         let set = test_set();
         let root = tmpdir("failover");
         let batches = gen_batches(&set, seed, n_batches);
-        let (mut kb, _) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+        let (mut kb, _) = DurableKb::open(&root, &set, repl_config()).unwrap();
         for (inserts, retracts) in &batches {
             kb.apply(inserts, retracts).unwrap();
         }
@@ -214,7 +217,7 @@ proptest! {
         drop(kb);
         std::fs::remove_dir_all(&dirs[lost]).unwrap();
 
-        let (kb, report) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+        let (kb, report) = DurableKb::open(&root, &set, repl_config()).unwrap();
         prop_assert_eq!(report.failover, lost == 0,
             "a failover is exactly an election away from replica-00");
         prop_assert_ne!(report.elected, lost);

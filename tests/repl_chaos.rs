@@ -20,7 +20,7 @@ use tgdkit::chase_crate::faults::{env_seed, FaultPlan, FaultSite};
 use tgdkit::chase_crate::CancelToken;
 use tgdkit::instance::{Elem, Fact};
 use tgdkit::logic::{parse_tgds, Schema, TgdSet};
-use tgdkit::store::{KbConfig, ReplicatedKb};
+use tgdkit::store::{DurableKb, KbConfig};
 
 fn test_set() -> TgdSet {
     let mut schema = Schema::default();
@@ -77,7 +77,7 @@ fn kill_one_replica_mid_drive_quorum_continues_and_rejoin_repairs() {
     let victim = (env_seed() % 3) as usize;
     let kill_at = 3 + (env_seed() / 3) % 8;
 
-    let (mut kb, _) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+    let (mut kb, _) = DurableKb::open(&root, &set, repl_config()).unwrap();
     for i in 0..batches {
         if u64::from(i) == kill_at {
             kb.kill_replica(victim);
@@ -115,7 +115,7 @@ fn kill_one_replica_mid_drive_quorum_continues_and_rejoin_repairs() {
     drop(kb);
 
     // Restart: the acknowledged prefix survives whole.
-    let (kb, report) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+    let (kb, report) = DurableKb::open(&root, &set, repl_config()).unwrap();
     assert_eq!(kb.seq(), u64::from(batches));
     assert!(!report.failover, "no replica should have outrun replica-00");
     assert!(
@@ -134,7 +134,7 @@ fn injected_kills_inside_appends_never_lose_acknowledged_batches() {
     let plan = FaultPlan::only(env_seed().wrapping_add(11), FaultSite::ReplicaKill, 9);
     let token = CancelToken::with_faults(plan);
 
-    let (mut kb, _) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+    let (mut kb, _) = DurableKb::open(&root, &set, repl_config()).unwrap();
     let mut acked = 0u32;
     for _ in 0..batches {
         // A kill can strike any replica mid-append; with enough strikes
@@ -158,7 +158,7 @@ fn injected_kills_inside_appends_never_lose_acknowledged_batches() {
     drop(kb);
 
     // Clean recovery serves exactly the acknowledged closure.
-    let (kb, _) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
+    let (kb, _) = DurableKb::open(&root, &set, repl_config()).unwrap();
     assert_eq!(
         kb.seq(),
         u64::from(acked),
